@@ -4,24 +4,22 @@
 // amplification, NTI fractions, small singletons).
 //
 // It analyzes saved traces (-dir, files written by `whisper -trace`) or,
-// with -run, regenerates the suite in-process first.
+// with -run, regenerates the suite in-process first. Either way each
+// trace is read in one streaming pass — each file decoded, or each app
+// executed, exactly once — and never materialized; every selected
+// analysis consumes that same pass.
 //
 // Usage:
 //
-//	wanalyze -run [-fig3] [-fig4] [-fig5] [-amp] [-nti] [-san]
+//	wanalyze -run [-fig3] [-fig4] [-fig5] [-amp] [-nti] [-san] [-cache]
 //	wanalyze -dir traces/ -fig3
-//	wanalyze -dir traces/ -fused -san -cache
+//	wanalyze -dir traces/ -san -cache
 //	wanalyze -run -metrics out.json
 //
-// -san additionally replays each trace through the durability-ordering
-// sanitizer (internal/pmsan) and prints one report per app; exit status
-// is 1 if any ordering error is found.
-//
-// -fused runs the selected analyses as fused consumers of a single pass
-// over each trace: with -san each file is decoded (or each app executed)
-// once instead of once per analysis. -cache adds the Table 3
-// cache-hierarchy simulation to the pass and prints where accesses were
-// serviced.
+// -san adds the durability-ordering sanitizer (internal/pmsan) to the
+// pass and prints one report per app; exit status is 1 if any ordering
+// error is found. -cache adds the Table 3 cache-hierarchy simulation and
+// prints where accesses were serviced.
 //
 // With no figure flags, everything prints. Exit status is 1 when there is
 // nothing to analyze or a trace fails to load, 2 on usage errors.
@@ -33,7 +31,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
@@ -62,29 +59,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", "", "directory of saved .wspr traces")
 	ops := fs.Int("ops", 0, "operations per client when regenerating")
 	seed := fs.Int64("seed", 1, "workload seed when regenerating")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs with -run (1 = serial)")
-	stream := fs.Bool("stream", false, "analyze as a stream: -run pipes each app straight into the sharded analysis, -dir reads traces without materializing them")
 	fig3 := fs.Bool("fig3", false, "print Figure 3 (epochs per transaction)")
 	fig4 := fs.Bool("fig4", false, "print Figure 4 (epoch size distribution)")
 	fig5 := fs.Bool("fig5", false, "print Figure 5 (dependencies)")
 	amp := fs.Bool("amp", false, "print write amplification (§5.2)")
 	nti := fs.Bool("nti", false, "print NTI fractions (§5.2)")
 	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each trace; exit 1 on ordering errors")
-	fused := fs.Bool("fused", false, "single-pass mode: all selected analyses consume one fan-out of each trace")
-	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace (requires -fused)")
+	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	// flag.Parse stops at the first positional argument, so a typo like
-	// `wanalyze -run echo -fused` would otherwise silently drop every
+	// `wanalyze -run echo -san` would otherwise silently drop every
 	// flag after "echo" and run the defaults instead.
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "wanalyze: unexpected arguments: %v\n", fs.Args())
-		return 2
-	}
-	if *cache && !*fused {
-		fmt.Fprintln(stderr, "wanalyze: -cache requires -fused (the simulation rides the fused pass)")
 		return 2
 	}
 
@@ -92,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// alone they print only their own reports.
 	all := !*fig3 && !*fig4 && !*fig5 && !*amp && !*nti && !*san && !*cache
 
-	reports, sanReports, cacheStats, err := collect(*runSuite, *dir, *ops, *seed, *parallel, *stream, *san, *fused, *cache)
+	reports, sanReports, cacheStats, err := collect(*runSuite, *dir, *ops, *seed, whisper.FusedConfig{Sanitize: *san, Cache: *cache})
 	if err != nil {
 		fmt.Fprintln(stderr, "wanalyze:", err)
 		return 1
@@ -194,110 +184,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // collect gathers one analysis report per app, plus one sanitizer report
-// per app when san is set and one cache-stats record per app when cache
-// is set. The sanitizer and cache slices are index-aligned with the
-// reports slice. With fused set, each trace is executed or decoded once
-// and all selected analyses consume the same pass.
-func collect(run bool, dir string, ops int, seed int64, parallel int, stream, san, fused, cache bool) ([]*whisper.Report, []*whisper.SanReport, []*whisper.CacheStats, error) {
-	if fused {
-		return collectFused(run, dir, ops, seed, san, cache)
-	}
-	if run {
-		cfg := whisper.Config{Ops: ops, Seed: seed}
-		if stream {
-			// Pipe each app's events straight into the sharded analysis;
-			// reports are identical to the materialized path (minus the
-			// retained trace), so every figure below is unchanged. The
-			// sanitizer taps the same stream inline.
-			var out []*whisper.Report
-			var sans []*whisper.SanReport
-			for _, name := range whisper.Names() {
-				var r *whisper.Report
-				var sr *whisper.SanReport
-				var err error
-				if san {
-					r, sr, err = whisper.RunStreamSanitized(name, cfg, nil)
-				} else {
-					r, err = whisper.RunStream(name, cfg, nil)
-				}
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				out = append(out, r)
-				if sr != nil {
-					sans = append(sans, sr)
-				}
-			}
-			return out, sans, nil, nil
-		}
-		// Suite members are independent runs; regenerate them concurrently.
-		// Reports are identical to serial regeneration for a fixed seed.
-		out, err := whisper.RunAllParallel(cfg, parallel)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var sans []*whisper.SanReport
-		if san {
-			for _, r := range out {
-				sans = append(sans, whisper.Sanitize(r.Trace))
-			}
-		}
-		return out, sans, nil, nil
-	}
-	if dir == "" {
-		return nil, nil, nil, nil
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.wspr"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var out []*whisper.Report
-	var sans []*whisper.SanReport
-	for _, path := range matches {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var rep *whisper.Report
-		if stream {
-			rep, err = whisper.AnalyzeReader(f)
-		} else {
-			var tr *whisper.Trace
-			tr, err = whisper.DecodeTrace(f)
-			if err == nil {
-				rep = whisper.Analyze(tr)
-			}
-		}
-		f.Close()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %v", path, err)
-		}
-		if san {
-			// Saved traces sanitize from disk in both modes: reopen and
-			// stream the codec straight into the state machine.
-			sf, err := os.Open(path)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sr, err := whisper.SanitizeReader(sf)
-			sf.Close()
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%s: %v", path, err)
-			}
-			sans = append(sans, sr)
-		}
-		out = append(out, rep)
-	}
-	return out, sans, nil, nil
-}
-
-// collectFused is the single-pass collector: each app run or trace file
-// is consumed exactly once, with the epoch analysis, sanitizer, and
-// cache simulation fanned out over the same event stream. The -dir path
-// in particular opens each file once, where the split collectors open it
-// twice (analysis + sanitizer).
-func collectFused(run bool, dir string, ops int, seed int64, san, cache bool) ([]*whisper.Report, []*whisper.SanReport, []*whisper.CacheStats, error) {
-	fcfg := whisper.FusedConfig{Sanitize: san, Cache: cache}
+// per app when fcfg.Sanitize is set and one cache-stats record per app
+// when fcfg.Cache is set; the three slices are index-aligned. Each app
+// run or trace file is consumed exactly once, with every selected
+// analysis fanned out over the same event stream.
+func collect(run bool, dir string, ops int, seed int64, fcfg whisper.FusedConfig) ([]*whisper.Report, []*whisper.SanReport, []*whisper.CacheStats, error) {
 	var out []*whisper.Report
 	var sans []*whisper.SanReport
 	var stats []*whisper.CacheStats

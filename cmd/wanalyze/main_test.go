@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,23 +14,7 @@ import (
 func TestRunErrorPaths(t *testing.T) {
 	tmp := t.TempDir()
 
-	// A valid saved trace for the success and corrupt-file cases.
-	traceDir := filepath.Join(tmp, "traces")
-	if err := os.MkdirAll(traceDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(traceDir, "hashmap.wspr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Trace.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	traceDir := saveHashmap(t)
 
 	corruptDir := filepath.Join(tmp, "corrupt")
 	if err := os.MkdirAll(corruptDir, 0o755); err != nil {
@@ -70,12 +55,6 @@ func TestRunErrorPaths(t *testing.T) {
 			wantErr:  "bad.wspr",
 		},
 		{
-			name:     "corrupt trace file streaming",
-			args:     []string{"-dir", corruptDir, "-stream"},
-			wantCode: 1,
-			wantErr:  "bad.wspr",
-		},
-		{
 			name:     "unwritable metrics path",
 			args:     []string{"-dir", traceDir, "-metrics", filepath.Join(tmp, "no-dir", "m.json")},
 			wantCode: 1,
@@ -104,9 +83,10 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
-// TestStreamFlagOutputIdentical asserts that -stream changes nothing about
-// the rendered figures, whether analyzing saved traces or live runs.
-func TestStreamFlagOutputIdentical(t *testing.T) {
+// saveHashmap writes a small hashmap trace into a fresh directory and
+// returns the directory.
+func saveHashmap(t *testing.T) string {
+	t.Helper()
 	traceDir := t.TempDir()
 	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
 	if err != nil {
@@ -116,91 +96,76 @@ func TestStreamFlagOutputIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	if err := rep.Trace.Encode(f); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	return traceDir
+}
 
-	var plain, streamed bytes.Buffer
-	if code := run([]string{"-dir", traceDir}, &plain, &plain); code != 0 {
-		t.Fatalf("plain run failed: %s", plain.String())
+// TestDirMatchesRun asserts that analyzing saved traces changes nothing
+// about the output: the suite's v2 traces, as `whisper -trace` writes
+// them, render the same figures, cache table and sanitizer reports as
+// regenerating the suite live. -dir reads files in glob order, so the
+// comparison is line-sorted.
+func TestDirMatchesRun(t *testing.T) {
+	cfg := whisper.Config{Ops: 2, Seed: 1}
+	traceDir := t.TempDir()
+	for _, name := range whisper.Names() {
+		f, err := os.Create(filepath.Join(traceDir, name+".wspr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = whisper.RunStream(name, cfg, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if code := run([]string{"-dir", traceDir, "-stream"}, &streamed, &streamed); code != 0 {
-		t.Fatalf("streamed run failed: %s", streamed.String())
+
+	var saved, live bytes.Buffer
+	if code := run([]string{"-dir", traceDir, "-san", "-cache", "-fig3", "-fig4", "-fig5", "-amp", "-nti"}, &saved, &saved); code != 0 {
+		t.Fatalf("-dir run failed: %s", saved.String())
 	}
-	if plain.String() != streamed.String() {
-		t.Errorf("-stream changed -dir output:\nplain:\n%s\nstreamed:\n%s", plain.String(), streamed.String())
+	if code := run([]string{"-run", "-ops", "2", "-seed", "1", "-san", "-cache", "-fig3", "-fig4", "-fig5", "-amp", "-nti"}, &live, &live); code != 0 {
+		t.Fatalf("-run failed: %s", live.String())
+	}
+	sorted := func(b bytes.Buffer) string {
+		lines := strings.Split(b.String(), "\n")
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	if sorted(saved) != sorted(live) {
+		t.Errorf("-dir output differs from -run:\nsaved:\n%s\nlive:\n%s", saved.String(), live.String())
 	}
 }
 
 // TestSanFlag pins the sanitizer section: -san alone prints only the
-// sanitizer reports, the output is byte-identical between the saved-trace
-// and streaming paths, and a clean suite exits 0.
+// sanitizer reports, and a clean suite exits 0.
 func TestSanFlag(t *testing.T) {
-	traceDir := t.TempDir()
-	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	traceDir := saveHashmap(t)
+	var out bytes.Buffer
+	if code := run([]string{"-dir", traceDir, "-san"}, &out, &out); code != 0 {
+		t.Fatalf("-san run failed: %s", out.String())
 	}
-	f, err := os.Create(filepath.Join(traceDir, "hashmap.wspr"))
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out.String(), "pmsan: app=hashmap") {
+		t.Errorf("no sanitizer report in output:\n%s", out.String())
 	}
-	if err := rep.Trace.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var plain, streamed bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-san"}, &plain, &plain); code != 0 {
-		t.Fatalf("-san run failed: %s", plain.String())
-	}
-	if code := run([]string{"-dir", traceDir, "-san", "-stream"}, &streamed, &streamed); code != 0 {
-		t.Fatalf("-san -stream run failed: %s", streamed.String())
-	}
-	if plain.String() != streamed.String() {
-		t.Errorf("-stream changed -san output:\nplain:\n%s\nstreamed:\n%s", plain.String(), streamed.String())
-	}
-	if !strings.Contains(plain.String(), "pmsan: app=hashmap") {
-		t.Errorf("no sanitizer report in output:\n%s", plain.String())
-	}
-	if strings.Contains(plain.String(), "Figure") {
-		t.Errorf("-san alone printed figures:\n%s", plain.String())
+	if strings.Contains(out.String(), "Figure") {
+		t.Errorf("-san alone printed figures:\n%s", out.String())
 	}
 }
 
-// TestFusedFlag pins the fused single-pass mode: its figures and
-// sanitizer output are byte-identical to the split collectors, -cache
-// adds the hierarchy table, and -cache without -fused is a usage error.
-func TestFusedFlag(t *testing.T) {
-	traceDir := t.TempDir()
-	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(traceDir, "hashmap.wspr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Trace.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var plain, fused bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-san"}, &plain, &plain); code != 0 {
-		t.Fatalf("-san run failed: %s", plain.String())
-	}
-	if code := run([]string{"-dir", traceDir, "-san", "-fused"}, &fused, &fused); code != 0 {
-		t.Fatalf("-san -fused run failed: %s", fused.String())
-	}
-	if plain.String() != fused.String() {
-		t.Errorf("-fused changed -san output:\nplain:\n%s\nfused:\n%s", plain.String(), fused.String())
-	}
-
+// TestCacheFlag pins the cache section: -cache alone prints only the
+// hierarchy table, and adding it to -san leaves the sanitizer reports
+// byte-identical, since every analysis rides the same pass.
+func TestCacheFlag(t *testing.T) {
+	traceDir := saveHashmap(t)
 	var cached bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-fused", "-cache"}, &cached, &cached); code != 0 {
-		t.Fatalf("-fused -cache run failed: %s", cached.String())
+	if code := run([]string{"-dir", traceDir, "-cache"}, &cached, &cached); code != 0 {
+		t.Fatalf("-cache run failed: %s", cached.String())
 	}
 	if !strings.Contains(cached.String(), "Cache hierarchy") {
 		t.Errorf("-cache printed no hierarchy table:\n%s", cached.String())
@@ -209,8 +174,14 @@ func TestFusedFlag(t *testing.T) {
 		t.Errorf("-cache alone printed figures:\n%s", cached.String())
 	}
 
-	var errOut bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-cache"}, &errOut, &errOut); code != 2 {
-		t.Fatalf("-cache without -fused: exit %d, want 2 (%s)", code, errOut.String())
+	var san, both bytes.Buffer
+	if code := run([]string{"-dir", traceDir, "-san"}, &san, &san); code != 0 {
+		t.Fatalf("-san run failed: %s", san.String())
+	}
+	if code := run([]string{"-dir", traceDir, "-san", "-cache"}, &both, &both); code != 0 {
+		t.Fatalf("-san -cache run failed: %s", both.String())
+	}
+	if want := cached.String() + san.String(); both.String() != want {
+		t.Errorf("-san -cache output is not -cache then -san:\n got:\n%s\nwant:\n%s", both.String(), want)
 	}
 }

@@ -4,19 +4,20 @@
 //
 // Usage:
 //
-//	whisper [-bench name] [-clients n] [-ops n] [-seed n] [-parallel n] [-trace dir] [-table1]
+//	whisper [-bench name] [-clients n] [-ops n] [-seed n] [-trace dir] [-table1]
 //	        [-san] [-san-allow file] [-metrics out.json] [-debug-addr :6060]
 //
-// -san replays every run through the durability-ordering sanitizer
+// With no -bench, the whole suite runs, one app after another. Each app's
+// events stream straight into the analysis as they are produced, so no
+// trace is held in memory; -trace saves each stream as <dir>/<app>.wspr
+// in the chunked v2 format. The output is byte-identical for a fixed
+// seed, with or without -metrics, which only snapshots counters after
+// the runs finish.
+//
+// -san taps the same stream with the durability-ordering sanitizer
 // (internal/pmsan) and prints one report per app after the benchmark
 // output; the process exits 1 if any unsuppressed ordering error
 // remains. -san-allow loads an allowlist of known findings to suppress.
-//
-// With no -bench, the whole suite runs, up to -parallel benchmarks at a
-// time (default: one worker per CPU). Each run owns its own simulated
-// device and scheduler and is seeded independently, so the output is
-// byte-identical to -parallel=1 for a fixed seed — with or without
-// -metrics, which only snapshots counters after the runs finish.
 //
 // -debug-addr serves net/http/pprof and expvar (the live metrics snapshot
 // is published as the "whisper" expvar) for profiling long sweeps.
@@ -26,11 +27,11 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
@@ -42,9 +43,7 @@ func main() {
 	clients := flag.Int("clients", 0, "client threads (0 = paper default)")
 	ops := flag.Int("ops", 0, "operations per client (0 = suite default)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs (1 = serial)")
-	traceDir := flag.String("trace", "", "directory to save raw traces")
-	stream := flag.Bool("stream", false, "pipe each run through the streaming analysis (bounded memory, serial; -trace saves chunked v2 traces)")
+	traceDir := flag.String("trace", "", "directory to save raw traces (chunked v2 format)")
 	table1 := flag.Bool("table1", false, "print only the Table 1 epoch-rate rows")
 	san := flag.Bool("san", false, "run the durability-ordering sanitizer over each run; exit 1 on unsuppressed ordering errors")
 	sanAllow := flag.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
@@ -84,45 +83,15 @@ func main() {
 
 	var reports []*whisper.Report
 	var sanReports []*whisper.SanReport
-	switch {
-	case *stream:
-		// The streaming path analyzes each run's events as they are
-		// produced and never materializes a trace; runs execute serially
-		// (the app and its analysis already pipeline within one run). The
-		// sanitizer taps the same stream inline, so -san costs no extra
-		// pass and no retained trace.
-		for _, name := range names {
-			rep, sanRep, err := runStreamed(name, cfg, *traceDir, *san)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			reports = append(reports, rep)
-			if sanRep != nil {
-				sanReports = append(sanReports, sanRep)
-			}
-		}
-	case *bench != "":
-		rep, err := whisper.Run(*bench, cfg)
+	for _, name := range names {
+		fr, err := runOne(name, cfg, *traceDir, *san)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		reports = []*whisper.Report{rep}
-	default:
-		var err error
-		reports, err = whisper.RunAllParallel(cfg, *parallel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *san && len(sanReports) == 0 {
-		// Materialized paths retain each trace; sanitize them here. Report
-		// order follows the (deterministic) run order, so the rendered
-		// output is byte-identical to the streaming path.
-		for _, rep := range reports {
-			sanReports = append(sanReports, whisper.Sanitize(rep.Trace))
+		reports = append(reports, fr.Report)
+		if fr.San != nil {
+			sanReports = append(sanReports, fr.San)
 		}
 	}
 
@@ -142,12 +111,6 @@ func main() {
 		} else {
 			fmt.Print(rep.String())
 		}
-		if *traceDir != "" && rep.Trace != nil {
-			if err := saveTrace(*traceDir, rep.App, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
 	}
 	sanErrors := 0
 	for _, sr := range sanReports {
@@ -165,54 +128,27 @@ func main() {
 	}
 }
 
-// runStreamed runs one benchmark through the streaming pipeline, teeing
-// its events to <dir>/<name>.wspr in the v2 format when dir is set, with
-// the sanitizer tapping the stream inline when san is set.
-func runStreamed(name string, cfg whisper.Config, dir string, san bool) (*whisper.Report, *whisper.SanReport, error) {
+// runOne runs one benchmark through the analysis pipeline, teeing its
+// events to <dir>/<name>.wspr when dir is set, with the sanitizer tapping
+// the stream when san is set.
+func runOne(name string, cfg whisper.Config, dir string, san bool) (*whisper.FusedReport, error) {
+	var out io.Writer
 	var f *os.File
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var err error
 		if f, err = os.Create(filepath.Join(dir, name+".wspr")); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		out = f
 	}
-	var rep *whisper.Report
-	var sanRep *whisper.SanReport
-	var err error
-	if san {
-		// f is a *os.File; pass an untyped nil when no tee is wanted.
-		if f != nil {
-			rep, sanRep, err = whisper.RunStreamSanitized(name, cfg, f)
-		} else {
-			rep, sanRep, err = whisper.RunStreamSanitized(name, cfg, nil)
-		}
-	} else if f != nil {
-		rep, err = whisper.RunStream(name, cfg, f)
-	} else {
-		rep, err = whisper.RunStream(name, cfg, nil)
-	}
+	fr, err := whisper.RunStreamFused(name, cfg, whisper.FusedConfig{Sanitize: san}, out)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, sanRep, nil
-}
-
-func saveTrace(dir, name string, rep *whisper.Report) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".wspr"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return rep.Trace.Encode(f)
+	return fr, err
 }

@@ -67,14 +67,17 @@ func main() {
 	if err := reports[0].Trace.Encode(&buf); err != nil {
 		log.Fatal(err)
 	}
-	back, err := whisper.DecodeTrace(&buf)
+	back, err := whisper.DecodeTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	again := whisper.Analyze(back)
+	again, err := whisper.AnalyzeReaderFused(&buf, whisper.FusedConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("trace codec round trip: %s, %d events, %d bytes encoded\n",
 		back.App(), back.Events(), buf.Len())
-	if again.TotalEpochs != reports[0].TotalEpochs {
+	if again.Report.TotalEpochs != reports[0].TotalEpochs {
 		log.Fatal("re-analysis diverged")
 	}
 

@@ -10,13 +10,15 @@ import (
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// Fused single-pass mode: the epoch analysis, the durability-ordering
-// sanitizer, and the cache-hierarchy simulator consume one fan-out of
-// the same event stream instead of replaying the trace once each (the
-// Bentō observation: cross-cutting PM analyses share the pass, not just
-// the trace). The source — a live benchmark or a saved trace file — is
-// executed or decoded exactly once; each consumer's output is
-// byte-identical to its standalone run, which TestFusedMatchesStandalone
+// The analysis pipeline. Every entry point reduces to one event source —
+// a live benchmark (startStream), a saved trace file (trace.NewReader),
+// or a retained trace (trace.NewSliceSource) — passed to analyzeFused,
+// which runs the epoch analysis and fans the same pass out to the
+// durability-ordering sanitizer and the cache-hierarchy simulator when
+// they are selected (the Bentō observation: cross-cutting PM analyses
+// share the pass, not just the trace). The source is executed or decoded
+// exactly once, and each consumer's output is byte-identical to its
+// standalone run over the retained trace, which TestFusedMatchesStandalone
 // asserts per suite member.
 
 // FusedConfig selects the consumers riding the shared pass alongside the
@@ -69,8 +71,7 @@ type FusedReport struct {
 
 // AnalyzeReaderFused streams a saved trace (either codec version)
 // through the epoch analysis plus the consumers fcfg selects, decoding
-// the file exactly once. The outputs match AnalyzeReader,
-// SanitizeReader, and a standalone cache replay on the same trace.
+// the file exactly once and never materializing it.
 func AnalyzeReaderFused(r io.Reader, fcfg FusedConfig) (*FusedReport, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
@@ -133,7 +134,7 @@ func analyzeFused(src trace.EventSource, fcfg FusedConfig) (*FusedReport, error)
 		if err != nil {
 			return nil, err
 		}
-		return &FusedReport{Report: newReport(a, nil)}, nil
+		return &FusedReport{Report: newReport(a)}, nil
 	}
 
 	branches := trace.Fanout(src, n)
@@ -181,22 +182,28 @@ func analyzeFused(src trace.EventSource, fcfg FusedConfig) (*FusedReport, error)
 		return nil, err
 	}
 
-	out := &FusedReport{Report: newReport(a, nil)}
+	out := &FusedReport{Report: newReport(a)}
 	if fcfg.Sanitize {
 		out.San = &SanReport{rep: sanRep}
 	}
 	if fcfg.Cache {
-		out.Cache = &CacheStats{
-			L1Hits:     stats.L1Hits,
-			L2Hits:     stats.L2Hits,
-			RemoteHits: stats.RemoteHits,
-			DRAMReads:  stats.DRAMReads,
-			DRAMWrites: stats.DRAMWrites,
-			PMReads:    stats.PMReads,
-			PMWrites:   stats.PMWrites,
-			NTWrites:   stats.NTWrites,
-			Evictions:  stats.Evictions,
-		}
+		out.Cache = newCacheStats(stats)
 	}
 	return out, nil
+}
+
+// newCacheStats shapes the simulator's accounting into the public
+// CacheStats.
+func newCacheStats(s cachesim.Stats) *CacheStats {
+	return &CacheStats{
+		L1Hits:     s.L1Hits,
+		L2Hits:     s.L2Hits,
+		RemoteHits: s.RemoteHits,
+		DRAMReads:  s.DRAMReads,
+		DRAMWrites: s.DRAMWrites,
+		PMReads:    s.PMReads,
+		PMWrites:   s.PMWrites,
+		NTWrites:   s.NTWrites,
+		Evictions:  s.Evictions,
+	}
 }

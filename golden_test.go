@@ -43,8 +43,9 @@ func renderFigures(r *Report) string {
 }
 
 // TestGoldenFigures locks Figures 3–6 and Table 1 for two fixed-seed apps
-// against committed golden files, and asserts the serial, parallel, and
-// streaming execution paths all render the figures byte-identically.
+// against committed golden files: the standalone epoch analysis of the
+// retained trace must match the file, and the serial, parallel, and
+// streaming entry points must all render it byte-identically.
 // Regenerate with: go test -run TestGoldenFigures -update .
 func TestGoldenFigures(t *testing.T) {
 	parReports, err := RunAllParallel(goldenCfg, 4)
@@ -72,12 +73,16 @@ func TestGoldenFigures(t *testing.T) {
 				t.Fatalf("parallel suite run is missing %s", app)
 			}
 
-			want := renderFigures(serial)
+			ref := refReport(serial.Trace)
+			want := renderFigures(&ref)
+			if got := renderFigures(serial); got != want {
+				t.Errorf("Run renders different figures:\n got:\n%s\nwant:\n%s", got, want)
+			}
 			if got := renderFigures(par); got != want {
-				t.Errorf("-parallel path renders different figures:\n got:\n%s\nwant:\n%s", got, want)
+				t.Errorf("RunAllParallel renders different figures:\n got:\n%s\nwant:\n%s", got, want)
 			}
 			if got := renderFigures(streamed); got != want {
-				t.Errorf("-stream path renders different figures:\n got:\n%s\nwant:\n%s", got, want)
+				t.Errorf("RunStream renders different figures:\n got:\n%s\nwant:\n%s", got, want)
 			}
 
 			path := filepath.Join("testdata", "golden", app+".golden")

@@ -81,7 +81,10 @@ func TestTraceDrivesCacheSim(t *testing.T) {
 	hashstore.RunWorkload(rt, pool, 256, 2, 40, 5)
 
 	h := cachesim.New(cachesim.DefaultConfig())
-	st := cachesim.ReplayTrace(h, rt.Trace)
+	st, err := cachesim.ReplaySource(h, trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.MemAccesses() == 0 {
 		t.Fatal("no memory accesses reached the hierarchy")
 	}
@@ -247,10 +250,13 @@ func TestScaleUp(t *testing.T) {
 	if a.TotalEpochs < 50000 {
 		t.Fatalf("epochs = %d", a.TotalEpochs)
 	}
-	// The analysis must agree with a codec round trip at scale.
-	var rep = analyze(&Trace{tr: rt.Trace})
-	if rep.TotalEpochs != a.TotalEpochs {
-		t.Fatal("facade analysis diverged")
+	// The pipeline must agree with the materialized analysis at scale.
+	fr, err := analyzeFused(trace.NewSliceSource(rt.Trace), FusedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Report.TotalEpochs != a.TotalEpochs {
+		t.Fatal("pipeline analysis diverged")
 	}
 }
 

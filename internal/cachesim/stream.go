@@ -7,10 +7,12 @@ import (
 )
 
 // ReplaySource drives the hierarchy with every memory event from an event
-// source, in O(1) memory per event. It is the streaming form of
-// ReplayTrace and produces identical statistics for an equivalent
-// materialized trace (the replay is a stateless per-event dispatch, so
-// the two are the same loop).
+// source, in O(1) memory per event; a materialized trace replays through
+// trace.NewSliceSource. Volatile accesses participate only when the trace
+// was recorded with per-event volatile tracing
+// (persist.Config.TraceVolatile); aggregated volatile counters cannot be
+// replayed through caches and are ignored here (Figure 6 uses the
+// counters directly).
 func ReplaySource(h *Hierarchy, src trace.EventSource) (Stats, error) {
 	if cs, ok := src.(trace.ChunkSource); ok {
 		// Chunked fast path: one interface call per batch instead of per

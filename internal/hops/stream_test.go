@@ -107,7 +107,7 @@ func TestNormalizedSourceMatchesNormalized(t *testing.T) {
 	cfg := DefaultConfig()
 	lat := mem.DefaultLatency()
 	tr := genReplayTrace(42, 4000)
-	want := Normalized(tr, cfg, lat)
+	want := Normalized(tr, cfg, lat, nil)
 	got, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil)
 	if err != nil {
 		t.Fatal(err)

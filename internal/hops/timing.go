@@ -410,14 +410,9 @@ func markDurabilityFences(tr *trace.Trace) map[int]bool {
 
 // Normalized replays tr under every model and returns runtimes normalized
 // to the x86-64 (NVM) baseline — the exact presentation of Figure 10.
-func Normalized(tr *trace.Trace, cfg Config, lat mem.Latency) map[Model]float64 {
-	return NormalizedObserved(tr, cfg, lat, nil)
-}
-
-// NormalizedObserved is Normalized with per-model observability: when
-// instruments is non-nil, instruments(m) supplies the ReplayObs for each
-// model's replay. Instruments never change the returned ratios.
-func NormalizedObserved(tr *trace.Trace, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) map[Model]float64 {
+// When instruments is non-nil, instruments(m) supplies the ReplayObs for
+// each model's replay; instruments never change the returned ratios.
+func Normalized(tr *trace.Trace, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) map[Model]float64 {
 	obsFor := func(m Model) ReplayObs {
 		if instruments == nil {
 			return ReplayObs{}

@@ -40,7 +40,7 @@ func TestFigure10Shape(t *testing.T) {
 	// IDEAL < HOPS(PWQ) <= HOPS(NVM) < x86(PWQ) < x86(NVM).
 	tr := txTrace(200, 10)
 	lat := mem.DefaultLatency()
-	norm := Normalized(tr, DefaultConfig(), lat)
+	norm := Normalized(tr, DefaultConfig(), lat, nil)
 
 	if norm[X86NVM] != 1.0 {
 		t.Fatalf("baseline not normalized: %v", norm[X86NVM])
@@ -133,8 +133,8 @@ func TestHOPSSpeedupGrowsWithEpochCount(t *testing.T) {
 	// More ordering points per transaction => more fences HOPS turns into
 	// cheap ofences => bigger HOPS advantage. (Consequence 2.)
 	lat := mem.DefaultLatency()
-	few := Normalized(txTrace(100, 2), DefaultConfig(), lat)
-	many := Normalized(txTrace(100, 20), DefaultConfig(), lat)
+	few := Normalized(txTrace(100, 2), DefaultConfig(), lat, nil)
+	many := Normalized(txTrace(100, 20), DefaultConfig(), lat, nil)
 	if many[HOPSNVM] >= few[HOPSNVM] {
 		t.Errorf("HOPS advantage did not grow with epoch count: %.3f vs %.3f",
 			many[HOPSNVM], few[HOPSNVM])

@@ -371,6 +371,21 @@ func scanUndo(th *persist.Thread, logBase mem.Addr) []undoRec {
 	return recs
 }
 
+// recoverable trims the records of a log scanned after a crash at the
+// first one whose header plus payload would cross the end of the log.
+// The default clear zeroes only record headers, so after a mid-epoch
+// crash the scan can walk past the live records into stale payload bytes
+// and read them as a header with a garbage size word; no record the
+// runtime wrote ever crosses the end (appendUndo refuses to).
+func recoverable(recs []undoRec, logBase mem.Addr) []undoRec {
+	for i, r := range recs {
+		if r.logAddr+recHeader+mem.Addr(r.payloadLen()) > logBase+logBytes {
+			return recs[:i]
+		}
+	}
+	return recs
+}
+
 // applyUndo restores records in reverse order: data snapshots are written
 // back, allocations made by the transaction are freed. Deferred-free
 // records are skipped: the free never happened.
@@ -430,12 +445,12 @@ func (p *Pool) Recover(th *persist.Thread) {
 	for _, logBase := range p.logs {
 		switch th.LoadU64(logBase + stateOffset) {
 		case logActive:
-			applyUndo(th, p.alloc, scanUndo(th, logBase))
+			applyUndo(th, p.alloc, recoverable(scanUndo(th, logBase), logBase))
 		case logCommitted:
 			// The transaction committed; finish any deferred frees the
 			// crash interrupted. FreeIfAllocated makes the replay
 			// idempotent.
-			for _, r := range scanUndo(th, logBase) {
+			for _, r := range recoverable(scanUndo(th, logBase), logBase) {
 				if r.isFree {
 					p.alloc.FreeIfAllocated(th, r.addr)
 				}

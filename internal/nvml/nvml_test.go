@@ -387,3 +387,54 @@ func TestCommitFlushesCoalesced(t *testing.T) {
 		t.Fatalf("redundant flushes after coalescing: %d sites\n%s", n, rep)
 	}
 }
+
+// TestRecoverStopsAtRecordCrossingLogEnd crafts the undo log a mid-epoch
+// crash can leave behind: one live record, then stale payload bytes that
+// read as a record header. Recovery must roll back the live record and
+// stop at the stale one, whose payload would cross the end of the log —
+// whether its size word is ASCII text ("value-55", from a redis value)
+// that no slice can hold, or merely a length that overhangs the log.
+func TestRecoverStopsAtRecordCrossingLogEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size uint64
+	}{
+		{"garbage size word", 0x35352d65756c6176},
+		{"payload overhangs log end", logBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, th, p := newPool(Options{})
+			var a, b mem.Addr
+			if err := p.Run(th, func(tx *Tx) error {
+				a, b = tx.Alloc(32), tx.Alloc(32)
+				tx.Write(a, []byte("original"))
+				tx.Write(b, []byte("bystande"))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			// The live record holds a's old contents; the stale header
+			// after it names b. Then the data write and the active state
+			// the crash interrupted.
+			logBase := p.logs[th.ID()]
+			rec := logBase + entryOffset
+			th.StoreU64(rec, uint64(a))
+			th.StoreU64(rec+8, 8)
+			th.Store(rec+recHeader, []byte("original"))
+			stale := rec + recHeader + 8
+			th.StoreU64(stale, uint64(b))
+			th.StoreU64(stale+8, tc.size)
+			th.Store(a, []byte("mutated!"))
+			th.StoreU64(logBase+stateOffset, logActive)
+
+			p.Recover(th)
+			if got := th.Load(a, 8); !bytes.Equal(got, []byte("original")) {
+				t.Fatalf("a after recover = %q, want original", got)
+			}
+			if got := th.Load(b, 8); !bytes.Equal(got, []byte("bystande")) {
+				t.Fatalf("b after recover = %q: the stale record was applied", got)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/hops"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // Report is the epoch-level analysis of one benchmark run — every number
@@ -18,8 +19,8 @@ type Report struct {
 	Layer string
 
 	// Trace is the raw recorded trace (reusable for HOPS simulation or
-	// offline analysis). It is nil for reports produced by the streaming
-	// path (RunStream, AnalyzeReader), which never materializes events.
+	// offline analysis). Only Run and RunAll retain it; it is nil for
+	// every streaming entry point, which never materializes events.
 	Trace *Trace
 
 	// TotalEpochs is the number of epochs (store sets between sfences).
@@ -55,18 +56,11 @@ type Report struct {
 // SizeBucketLabels are the Figure 4 bucket names.
 var SizeBucketLabels = epoch.SizeBucketLabels
 
-func analyze(t *Trace) *Report {
-	return newReport(epoch.Analyze(t.tr), t)
-}
-
-// newReport shapes an epoch analysis into the public Report. t may be nil
-// when the analysis came from the streaming path, which never materializes
-// a trace.
-func newReport(a *epoch.Analysis, t *Trace) *Report {
+// newReport shapes an epoch analysis into the public Report.
+func newReport(a *epoch.Analysis) *Report {
 	return &Report{
 		App:                    a.App,
 		Layer:                  a.Layer,
-		Trace:                  t,
 		TotalEpochs:            a.TotalEpochs,
 		EpochsPerSecond:        a.EpochsPerSecond(),
 		Transactions:           len(a.TxEpochCounts),
@@ -81,9 +75,6 @@ func newReport(a *epoch.Analysis, t *Trace) *Report {
 		PMShare:                a.PMFraction(),
 	}
 }
-
-// Analyze computes a Report from a previously recorded trace.
-func Analyze(t *Trace) *Report { return analyze(t) }
 
 // String renders the report as a compact table.
 func (r *Report) String() string {
@@ -140,7 +131,11 @@ func SimulateHOPS(t *Trace, cfg HOPSConfig) map[string]float64 {
 				obs.ExpBuckets(1, 2, 14)...),
 		}
 	}
-	norm := hops.NormalizedObserved(t.tr, hc, mem.DefaultLatency(), instruments)
+	norm, err := hops.NormalizedSource(trace.NewSliceSource(t.tr), hc, mem.DefaultLatency(), instruments)
+	if err != nil {
+		// A slice source cannot fail mid-stream; keep the API ergonomic.
+		panic(fmt.Sprintf("whisper: simulate HOPS: %v", err))
+	}
 	out := make(map[string]float64, len(norm))
 	for m, v := range norm {
 		out[m.String()] = v

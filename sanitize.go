@@ -6,21 +6,18 @@ import (
 	"os"
 
 	"github.com/whisper-pm/whisper/internal/pmsan"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // Durability-ordering sanitizer (pmsan). The sanitizer replays the
 // store→flush→fence→commit lifecycle of every PM cache line and reports
 // ordering errors (state a transaction publishes at TxEnd without a
 // covering flush/fence) and performance smells (redundant flushes,
-// no-op fences). It runs over a retained trace (Sanitize), a stored
-// trace file (SanitizeReader), or inline in the streaming pipeline
-// (RunStreamSanitized) — all three produce byte-identical reports for
-// the same run.
+// no-op fences). It rides the analysis pipeline as a tap
+// (FusedConfig.Sanitize), over a live run or a stored trace file alike.
 
 // SanReport is the result of sanitizing one trace. Reports are
-// deterministic: rendering is byte-stable across runs and across the
-// serial, parallel, and streaming execution paths.
+// deterministic: rendering is byte-stable across runs, and a live run
+// and its saved trace render identically.
 type SanReport struct {
 	rep *pmsan.Report
 }
@@ -106,36 +103,4 @@ func LoadAllowlist(path string) (*Allowlist, error) {
 	}
 	defer f.Close()
 	return ParseAllowlist(f)
-}
-
-// Sanitize runs the durability-ordering sanitizer over a retained
-// trace (as produced by Run/RunAll; Report.Trace carries one).
-func Sanitize(t *Trace) *SanReport {
-	rep, err := pmsan.Run(trace.NewSliceSource(t.tr))
-	if err != nil {
-		// A slice source cannot fail mid-stream; keep the API ergonomic.
-		panic(fmt.Sprintf("whisper: sanitize: %v", err))
-	}
-	return &SanReport{rep: rep}
-}
-
-// SanitizeReader runs the sanitizer over a stored trace (either codec
-// version) without materializing it.
-func SanitizeReader(r io.Reader) (*SanReport, error) {
-	rd, err := trace.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := pmsan.Run(rd)
-	if err != nil {
-		return nil, err
-	}
-	return &SanReport{rep: rep}, nil
-}
-
-// RunStreamSanitized is RunStream with the sanitizer tapping the event
-// stream inline: one execution produces both the analysis report and
-// the sanitizer report, and the trace is still never materialized.
-func RunStreamSanitized(name string, cfg Config, traceOut io.Writer) (*Report, *SanReport, error) {
-	return runStreamed(name, cfg, traceOut, true)
 }

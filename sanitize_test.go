@@ -7,9 +7,9 @@ import (
 )
 
 // TestSanitizerCleanAndByteIdentical is the sanitizer's core contract over
-// the whole suite: for every benchmark, the serial (retained trace),
-// streaming (inline tap), and stored-trace (SanitizeReader over the v2
-// tee) paths produce byte-identical reports, and after the ordering fixes
+// the whole suite: for every benchmark, the live tap and the stored-trace
+// pass (over the v2 tee) produce reports byte-identical to the standalone
+// sanitizer run over the retained trace, and after the ordering fixes
 // every app is clean — zero error-class sites and zero diagnostic sites.
 func TestSanitizerCleanAndByteIdentical(t *testing.T) {
 	cfg := Config{Ops: 10, Seed: 13}
@@ -20,22 +20,22 @@ func TestSanitizerCleanAndByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromTrace := Sanitize(serial.Trace)
+			fromTrace := refSan(t, serial.Trace)
 
 			var tee bytes.Buffer
-			_, streamed, err := RunStreamSanitized(name, cfg, &tee)
+			streamed, err := RunStreamFused(name, cfg, FusedConfig{Sanitize: true}, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromDisk, err := SanitizeReader(bytes.NewReader(tee.Bytes()))
+			fromDisk, err := AnalyzeReaderFused(bytes.NewReader(tee.Bytes()), FusedConfig{Sanitize: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			if got, want := streamed.String(), fromTrace.String(); got != want {
+			if got, want := streamed.San.String(), fromTrace.String(); got != want {
 				t.Errorf("streaming report diverged from serial:\n got: %s\nwant: %s", got, want)
 			}
-			if got, want := fromDisk.String(), fromTrace.String(); got != want {
+			if got, want := fromDisk.San.String(), fromTrace.String(); got != want {
 				t.Errorf("stored-trace report diverged from serial:\n got: %s\nwant: %s", got, want)
 			}
 
@@ -68,7 +68,7 @@ func TestSanitizerParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("report counts diverge: %d vs %d", len(serial), len(parallel))
 	}
 	for i := range serial {
-		sr, pr := Sanitize(serial[i].Trace), Sanitize(parallel[i].Trace)
+		sr, pr := refSan(t, serial[i].Trace), refSan(t, parallel[i].Trace)
 		if sr.String() != pr.String() {
 			t.Errorf("%s: parallel sanitizer report diverged:\n got: %s\nwant: %s",
 				sr.App(), pr, sr)
@@ -76,21 +76,14 @@ func TestSanitizerParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSanitizeReaderRejectsGarbage pins the error path for corrupt traces.
-func TestSanitizeReaderRejectsGarbage(t *testing.T) {
-	if _, err := SanitizeReader(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Fatal("SanitizeReader accepted garbage")
-	}
-}
-
 // TestAllowlistAPIRoundTrip exercises the exported allowlist surface:
 // parse, apply, and the suppressed accounting.
 func TestAllowlistAPIRoundTrip(t *testing.T) {
-	rep, err := Run("ycsb", Config{Ops: 6, Seed: 3})
+	fr, err := RunStreamFused("ycsb", Config{Ops: 6, Seed: 3}, FusedConfig{Sanitize: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	san := Sanitize(rep.Trace)
+	san := fr.San
 	// Wildcard-suppress everything; on a clean trace this must be a no-op
 	// but the parse/apply path still has to work.
 	al, err := ParseAllowlist(strings.NewReader(

@@ -1,22 +1,16 @@
 package whisper
 
 import (
-	"fmt"
 	"io"
-	"time"
 
-	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// Streaming execution path: the benchmark runs in its own goroutine with
-// a persist event sink installed, events flow through a bounded channel
-// of chunks into the sharded epoch analysis, and the full event slice is
-// never materialized. The resulting Report is identical to the Run path
-// (TestStreamMatchesSerial asserts it on every suite member); only its
-// Trace field is nil, since there is no retained trace to attach.
+// Live event source: the benchmark runs in its own goroutine with a
+// persist event sink installed, and its events flow through a bounded
+// channel of chunks into the analysis pipeline (analyzeFused), so the
+// full event slice is never materialized.
 
 // streamChunk is the producer-side batch size: the benchmark goroutine
 // hands events to the analysis in chunks so channel synchronization
@@ -86,10 +80,14 @@ func (c *chanSource) Volatile() (loads, stores uint64) { return c.vloads, c.vsto
 // the fly, without ever holding the full trace in memory. The returned
 // Report is identical to Run's except that Report.Trace is nil. When
 // traceOut is non-nil, the stream is also tee'd to it in the chunked v2
-// trace format (readable by DecodeTrace, wanalyze -dir, and AnalyzeReader).
+// trace format (readable by DecodeTrace, wanalyze -dir, and
+// AnalyzeReaderFused).
 func RunStream(name string, cfg Config, traceOut io.Writer) (*Report, error) {
-	rep, _, err := runStreamed(name, cfg, traceOut, false)
-	return rep, err
+	fr, err := RunStreamFused(name, cfg, FusedConfig{}, traceOut)
+	if err != nil {
+		return nil, err
+	}
+	return fr.Report, nil
 }
 
 // startStream prepares the channel-backed source for the named benchmark
@@ -102,14 +100,7 @@ func startStream(name string, cfg Config) (src *chanSource, launch func(), err e
 	if err != nil {
 		return nil, nil, err
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = b.defaultClients
-	}
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = b.defaultOps
-	}
+	clients, ops := b.size(cfg)
 
 	src = &chanSource{
 		meta: trace.Meta{App: b.Name, Layer: b.Layer, Threads: clients},
@@ -133,109 +124,17 @@ func startStream(name string, cfg Config) (src *chanSource, launch func(), err e
 					flush()
 				}
 			})
-			defer func() {
-				// A benchmark panic must not wedge the analysis side: record
-				// the failure, then close the channel so Next unblocks.
-				if r := recover(); r != nil {
-					src.runErr = fmt.Errorf("whisper: %s panicked: %v", b.Name, r)
-				}
-				flush()
-				src.vloads = rt.Trace.VolatileLoads
-				src.vstores = rt.Trace.VolatileStores
-				close(src.ch)
-			}()
-			start := time.Now()
-			b.run(rt, clients, ops, cfg.Seed)
-			publishRunMetrics(b.Name, rt, time.Since(start), clients*ops)
+			err := b.execute(rt, clients, ops, cfg.Seed)
+			// Publish the run's outcome, then close the channel so Next
+			// unblocks even when the benchmark panicked.
+			flush()
+			src.vloads = rt.Trace.VolatileLoads
+			src.vstores = rt.Trace.VolatileStores
+			src.runErr = err
+			close(src.ch)
 		}()
 	}
 	return src, launch, nil
-}
-
-// runStreamed is the shared streaming body: benchmark producer goroutine,
-// optional trace tee, optional inline sanitizer tap, sharded analysis.
-func runStreamed(name string, cfg Config, traceOut io.Writer, sanitize bool) (*Report, *SanReport, error) {
-	src, launch, err := startStream(name, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tw *trace.Writer
-	if traceOut != nil {
-		tw, err = trace.NewWriter(traceOut, src.meta)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	launch()
-
-	// The consumer chain: channel source, optionally tee'd to the trace
-	// writer, optionally tapped by the sanitizer. The sanitizer wrapper
-	// preserves the chunked fast path when the underlying source has one
-	// (the tee is Next-only, so its wrapper is too).
-	var consumer trace.EventSource = src
-	if tw != nil {
-		consumer = teeSource{src: src, w: tw}
-	}
-	var san *pmsan.Sanitizer
-	if sanitize {
-		san = pmsan.New(src.meta)
-		if cs, ok := consumer.(trace.ChunkSource); ok {
-			consumer = observedChunkSource{observedSource{src: consumer, san: san}, cs}
-		} else {
-			consumer = observedSource{src: consumer, san: san}
-		}
-	}
-
-	a, err := epoch.AnalyzeStream(consumer)
-	if err == nil && tw != nil {
-		vl, vs := src.Volatile()
-		err = tw.Close(vl, vs)
-	}
-	if err != nil {
-		// Drain so the producer goroutine can always finish.
-		for range src.ch {
-		}
-		return nil, nil, err
-	}
-	var sanRep *SanReport
-	if san != nil {
-		sanRep = &SanReport{rep: san.Finish()}
-	}
-	return newReport(a, nil), sanRep, nil
-}
-
-// observedSource taps every event a consumer pulls into the sanitizer.
-type observedSource struct {
-	src trace.EventSource
-	san *pmsan.Sanitizer
-}
-
-func (o observedSource) Meta() trace.Meta { return o.src.Meta() }
-
-func (o observedSource) Next() (trace.Event, error) {
-	e, err := o.src.Next()
-	if err == nil {
-		o.san.Observe(e)
-	}
-	return e, err
-}
-
-func (o observedSource) Volatile() (loads, stores uint64) { return o.src.Volatile() }
-
-// observedChunkSource additionally forwards the chunked fast path.
-type observedChunkSource struct {
-	observedSource
-	cs trace.ChunkSource
-}
-
-func (o observedChunkSource) NextChunk() ([]trace.Event, error) {
-	chunk, err := o.cs.NextChunk()
-	if err == nil {
-		for _, e := range chunk {
-			o.san.Observe(e)
-		}
-	}
-	return chunk, err
 }
 
 // teeSource copies every event it yields into a trace.Writer.
@@ -258,21 +157,6 @@ func (t teeSource) Next() (trace.Event, error) {
 }
 
 func (t teeSource) Volatile() (loads, stores uint64) { return t.src.Volatile() }
-
-// AnalyzeReader computes a Report by streaming a saved trace (either
-// codec version) through the sharded analysis without materializing it.
-// The report matches Analyze(DecodeTrace(r)) exactly, with a nil Trace.
-func AnalyzeReader(r io.Reader) (*Report, error) {
-	rd, err := trace.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	a, err := epoch.AnalyzeStream(rd)
-	if err != nil {
-		return nil, err
-	}
-	return newReport(a, nil), nil
-}
 
 // EncodeV2 writes the trace in the chunked v2 trace format (framed,
 // CRC-checksummed event blocks; see internal/trace).

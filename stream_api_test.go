@@ -7,10 +7,11 @@ import (
 )
 
 // TestStreamMatchesSerial is the pipeline's core contract: for every suite
-// member, the streaming run — app goroutine piping events through the
-// sharded analysis, no materialized trace — produces a report identical to
-// the materialized Run path, and the v2 trace it tees out decodes to the
-// exact trace Run records.
+// member, the materialized run and the streaming run — app goroutine
+// piping events through the sharded analysis, no retained trace — both
+// produce the report of the standalone epoch analysis over the recorded
+// trace, and the v2 trace the stream tees out decodes to that exact trace
+// and analyzes to the same report again.
 func TestStreamMatchesSerial(t *testing.T) {
 	cfg := Config{Ops: 10, Seed: 13}
 	for _, b := range Benchmarks() {
@@ -20,6 +21,13 @@ func TestStreamMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := refReport(serial.Trace)
+			got := *serial
+			got.Trace = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Run report diverged:\n got: %+v\nwant: %+v", got, want)
+			}
+
 			var tee bytes.Buffer
 			streamed, err := RunStream(b.Name, cfg, &tee)
 			if err != nil {
@@ -28,15 +36,11 @@ func TestStreamMatchesSerial(t *testing.T) {
 			if streamed.Trace != nil {
 				t.Error("streamed report retained a trace")
 			}
-			// Field-identical reports (modulo the intentionally nil Trace).
-			want := *serial
-			want.Trace = nil
-			got := *streamed
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("report diverged:\n got: %+v\nwant: %+v", got, want)
+			if !reflect.DeepEqual(*streamed, want) {
+				t.Errorf("report diverged:\n got: %+v\nwant: %+v", *streamed, want)
 			}
-			if got.String() != serial.String() {
-				t.Errorf("rendered report diverged:\n got: %s\nwant: %s", got.String(), serial.String())
+			if got := streamed.String(); got != want.String() {
+				t.Errorf("rendered report diverged:\n got: %s\nwant: %s", got, want.String())
 			}
 
 			// The tee'd v2 stream must decode to the exact trace Run saw.
@@ -49,12 +53,12 @@ func TestStreamMatchesSerial(t *testing.T) {
 			}
 
 			// And analyzing the saved stream must reproduce the report again.
-			fromDisk, err := AnalyzeReader(bytes.NewReader(tee.Bytes()))
+			fromDisk, err := AnalyzeReaderFused(bytes.NewReader(tee.Bytes()), FusedConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(*fromDisk, want) {
-				t.Errorf("AnalyzeReader report diverged:\n got: %+v\nwant: %+v", *fromDisk, want)
+			if !reflect.DeepEqual(*fromDisk.Report, want) {
+				t.Errorf("saved-trace report diverged:\n got: %+v\nwant: %+v", *fromDisk.Report, want)
 			}
 		})
 	}
@@ -64,13 +68,5 @@ func TestStreamMatchesSerial(t *testing.T) {
 func TestRunStreamUnknownBenchmark(t *testing.T) {
 	if _, err := RunStream("nope", Config{}, nil); err == nil {
 		t.Fatal("RunStream accepted an unknown benchmark")
-	}
-}
-
-// TestAnalyzeReaderRejectsGarbage pins that a corrupt stream surfaces as
-// an error, not a zeroed report.
-func TestAnalyzeReaderRejectsGarbage(t *testing.T) {
-	if _, err := AnalyzeReader(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Fatal("AnalyzeReader accepted garbage")
 	}
 }

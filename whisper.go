@@ -226,26 +226,54 @@ func find(name string) (*Benchmark, error) {
 	return nil, fmt.Errorf("whisper: unknown benchmark %q (have %v)", name, Names())
 }
 
-// Run executes the named benchmark and returns its analysis report (with
-// the raw trace attached).
+// size resolves cfg's client and op counts against the benchmark's
+// defaults.
+func (b *Benchmark) size(cfg Config) (clients, ops int) {
+	clients, ops = cfg.Clients, cfg.Ops
+	if clients <= 0 {
+		clients = b.defaultClients
+	}
+	if ops <= 0 {
+		ops = b.defaultOps
+	}
+	return clients, ops
+}
+
+// execute runs the benchmark to completion on rt and publishes its run
+// metrics. A benchmark panic comes back as an error, so neither a pool
+// worker nor a streaming producer can take down the process or wedge
+// the analysis reading its events.
+func (b *Benchmark) execute(rt *persist.Runtime, clients, ops int, seed int64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("whisper: %s panicked: %v", b.Name, r)
+		}
+	}()
+	start := time.Now()
+	b.run(rt, clients, ops, seed)
+	publishRunMetrics(b.Name, rt, time.Since(start), clients*ops)
+	return nil
+}
+
+// Run executes the named benchmark and returns its analysis report with
+// the raw trace attached. The retained trace feeds the same analysis
+// pipeline as every streaming entry point.
 func Run(name string, cfg Config) (*Report, error) {
 	b, err := find(name)
 	if err != nil {
 		return nil, err
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = b.defaultClients
-	}
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = b.defaultOps
-	}
+	clients, ops := b.size(cfg)
 	rt := persist.NewRuntime(b.Name, b.Layer, clients, persist.Config{})
-	start := time.Now()
-	b.run(rt, clients, ops, cfg.Seed)
-	publishRunMetrics(b.Name, rt, time.Since(start), clients*ops)
-	return analyze(&Trace{tr: rt.Trace}), nil
+	if err := b.execute(rt, clients, ops, cfg.Seed); err != nil {
+		return nil, err
+	}
+	fr, err := analyzeFused(trace.NewSliceSource(rt.Trace), FusedConfig{})
+	if err != nil {
+		return nil, err
+	}
+	fr.Report.Trace = &Trace{tr: rt.Trace}
+	return fr.Report, nil
 }
 
 // RunAll executes every benchmark with cfg serially and returns reports in
@@ -261,41 +289,17 @@ func RunAll(cfg Config) ([]*Report, error) {
 // execution regardless of worker count or completion order. workers <= 1
 // runs serially; workers above the suite size are clamped.
 func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
-	if workers > len(suite) {
-		workers = len(suite)
-	}
-	if workers <= 1 {
-		out := make([]*Report, 0, len(suite))
-		for _, b := range suite {
-			r, err := Run(b.Name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
-
+	workers = max(1, min(workers, len(suite)))
 	out := make([]*Report, len(suite))
 	errs := make([]error, len(suite))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				// A panicking benchmark must not take down the whole
-				// process when running as a pool worker; surface it as
-				// this slot's error instead.
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							errs[i] = fmt.Errorf("whisper: %s panicked: %v", suite[i].Name, r)
-						}
-					}()
-					out[i], errs[i] = Run(suite[i].Name, cfg)
-				}()
+				out[i], errs[i] = Run(suite[i].Name, cfg)
 			}
 		}()
 	}

@@ -79,12 +79,15 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	if err := rep.Trace.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := DecodeTrace(&buf)
+	tr2, err := DecodeTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2 := Analyze(tr2)
-	if rep2.TotalEpochs != rep.TotalEpochs || rep2.SelfDeps != rep.SelfDeps {
+	fr, err := AnalyzeReaderFused(&buf, FusedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2 := fr.Report; rep2.TotalEpochs != rep.TotalEpochs || rep2.SelfDeps != rep.SelfDeps {
 		t.Fatal("analysis changed across encode/decode")
 	}
 	if tr2.App() != "redis" || tr2.Layer() != "nvml" || tr2.Events() == 0 {
