@@ -76,6 +76,14 @@ func TestSanitizerParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSanitizeReaderRejectsGarbage pins the error path for corrupt
+// traces read with the sanitizer riding the pass.
+func TestSanitizeReaderRejectsGarbage(t *testing.T) {
+	if fr, err := AnalyzeReaderFused(bytes.NewReader([]byte("not a trace")), FusedConfig{Sanitize: true}); err == nil {
+		t.Fatalf("sanitizing reader accepted garbage, report %+v", fr)
+	}
+}
+
 // TestAllowlistAPIRoundTrip exercises the exported allowlist surface:
 // parse, apply, and the suppressed accounting.
 func TestAllowlistAPIRoundTrip(t *testing.T) {

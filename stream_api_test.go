@@ -70,3 +70,12 @@ func TestRunStreamUnknownBenchmark(t *testing.T) {
 		t.Fatal("RunStream accepted an unknown benchmark")
 	}
 }
+
+// TestAnalyzeReaderRejectsGarbage pins that a corrupt stream read with no
+// consumers beyond the epoch analysis surfaces as an error, not a zeroed
+// report.
+func TestAnalyzeReaderRejectsGarbage(t *testing.T) {
+	if fr, err := AnalyzeReaderFused(bytes.NewReader([]byte("not a trace")), FusedConfig{}); err == nil {
+		t.Fatalf("reader analysis accepted garbage, report %+v", fr)
+	}
+}
