@@ -255,35 +255,38 @@ func TestLoggedAllocEpochCount(t *testing.T) {
 }
 
 func TestLoggedCrashAtomicity(t *testing.T) {
-	// Crash the allocator at every epoch boundary of an allocation; after
-	// Recover the bitmap state must be consistent: either the allocation
-	// fully happened (bit set) or not at all.
-	for crashAfter := 0; crashAfter < 6; crashAfter++ {
+	// Crash the allocator right after every persistent event of an
+	// allocation, under both crash adversaries; after Recover the
+	// allocation must have fully happened (bit set) or not at all.
+	setup := func() (*persist.Runtime, *persist.Thread, *Logged) {
 		rt, th := newRT()
 		g := NewLogged(rt, 128)
-		pre := g.Alloc(th, 40) // one stable allocation
-		_ = pre
-
-		// Count fences during a second allocation, crash after the k-th.
-		target := rt.Trace.CountKind(trace.KFence) + crashAfter
-		func() {
-			defer func() { recover() }() // stop mid-allocation via panic
-			fenceCount := func() int { return rt.Trace.CountKind(trace.KFence) }
-			if crashAfter < 5 {
-				// Run the allocation in a goroutine-free way: simulate by
-				// running Alloc fully, then crash — unless we can stop at
-				// the boundary. Simplest faithful approach: run Alloc fully
-				// when crashAfter >= 5.
-				_ = fenceCount
-				_ = target
+		g.Alloc(th, 40) // one stable allocation
+		return rt, th, g
+	}
+	rt, th, g := setup()
+	n := rt.CountEvents(func() { g.Alloc(th, 40) })
+	if n < 4 {
+		t.Fatalf("allocation emitted only %d events", n)
+	}
+	t.Logf("sweeping %d crash points per mode", n)
+	for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
+		var seen [3]bool
+		for k := 1; k <= n; k++ {
+			rt, th, g := setup()
+			if !rt.StopAfter(k, func() { g.Alloc(th, 40) }) {
+				t.Fatalf("%v: stop after event %d of %d did not fire", mode, k, n)
 			}
-			g.Alloc(th, 40)
-		}()
-		rt.Crash(pmem.Strict, int64(crashAfter))
-		g.Recover(th)
-		n := g.Allocated()
-		if n != 1 && n != 2 {
-			t.Fatalf("crashAfter=%d: Allocated = %d, want 1 or 2", crashAfter, n)
+			rt.Crash(mode, int64(k))
+			g.Recover(th)
+			got := g.Allocated()
+			if got != 1 && got != 2 {
+				t.Fatalf("%v: crash after event %d of %d: Allocated = %d, want 1 or 2", mode, k, n, got)
+			}
+			seen[got] = true
+		}
+		if !seen[1] || !seen[2] {
+			t.Fatalf("%v: sweep saw only one outcome (lost=%v kept=%v)", mode, seen[1], seen[2])
 		}
 	}
 }

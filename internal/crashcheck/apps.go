@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/whisper-pm/whisper/internal/apps/ctree"
 	"github.com/whisper-pm/whisper/internal/apps/echo"
@@ -74,23 +75,64 @@ func lookup(name string) (entry, error) {
 }
 
 // ---------------------------------------------------------------------------
-// uint64 key-value adapters: ctree and hashmap share one shape.
+// Key-value adapters: ctree and hashmap (uint64, NVML), redis (string,
+// NVML) and memcached (string, Mnemosyne) share one oracle.
 
-// u64KV is the store surface the NVML tree/map apps expose.
-type u64KV interface {
-	Insert(tid int, key, value uint64) error
-	Get(tid int, key uint64) (uint64, bool)
-	Delete(tid int, key uint64) (bool, error)
+// kvStore is the store surface the four key-value apps share.
+type kvStore[K, V comparable] interface {
+	Insert(tid int, key K, val V) error
+	Get(tid int, key K) (V, bool)
+	Delete(tid int, key K) (bool, error)
 	Recover()
 	CheckInvariants(tid int) error
 }
 
-func openCtree(rt *persist.Runtime) u64KV {
+func openCtree(rt *persist.Runtime) kvStore[uint64, uint64] {
 	return ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}))
 }
 
-func openHashmap(rt *persist.Runtime) u64KV {
+func openHashmap(rt *persist.Runtime) kvStore[uint64, uint64] {
 	return hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
+}
+
+type redisKV struct{ *redisstore.Store }
+
+func (r redisKV) Insert(_ int, k, v string) error      { return r.Set(k, v) }
+func (r redisKV) Get(_ int, k string) (string, bool)   { return r.Store.Get(k) }
+func (r redisKV) Delete(_ int, k string) (bool, error) { return r.Del(k) }
+func (r redisKV) CheckInvariants(int) error            { return r.Store.CheckInvariants() }
+
+func openRedis(rt *persist.Runtime) kvStore[string, string] {
+	return redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
+}
+
+type memcacheKV struct{ *memcache.Cache }
+
+func (m memcacheKV) Insert(tid int, k, v string) error { return m.Set(tid, k, v) }
+
+func openMemcached(rt *persist.Runtime) kvStore[string, string] {
+	// maxItems far above the scripted keyspace: LRU eviction never fires,
+	// so the volatile model needs no eviction mirror.
+	return memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<14)}
+}
+
+// newU64App scripts keys 1..256 and values 1..1e6: the stores treat 0 as
+// ambiguous, so both stay nonzero.
+func newU64App(open func(*persist.Runtime) kvStore[uint64, uint64]) App {
+	return &kvApp[uint64, uint64]{
+		open: open, keyspace: 256,
+		key: func(n int) uint64 { return uint64(n) + 1 },
+		val: func(n uint64) uint64 { return n + 1 },
+	}
+}
+
+// newStrApp scripts 128 keys "key-NNN" and values "value-NNNNNN".
+func newStrApp(open func(*persist.Runtime) kvStore[string, string]) App {
+	return &kvApp[string, string]{
+		open: open, keyspace: 128,
+		key: func(n int) string { return fmt.Sprintf("key-%03d", n) },
+		val: func(n uint64) string { return fmt.Sprintf("value-%06d", n) },
+	}
 }
 
 const (
@@ -99,51 +141,55 @@ const (
 	opGet
 )
 
-type u64Op struct {
-	kind     int
-	key, val uint64
+type kvOp[K, V any] struct {
+	kind int
+	key  K
+	val  V
 }
 
-// u64Pending is the operation in flight at the crash: its key may hold the
+// kvPending is the operation in flight at the crash: its key may hold the
 // before or the after state, atomically.
-type u64Pending struct {
-	key      uint64
-	before   uint64
+type kvPending[K, V any] struct {
+	key      K
+	before   V
 	beforeOk bool
-	after    uint64
+	after    V
 	afterOk  bool
 }
 
-type u64App struct {
-	open    func(*persist.Runtime) u64KV
-	kv      u64KV
+// kvApp drives a kvStore with a scripted insert/delete/get mix and checks
+// it against a map model plus the in-flight operation's two legal states.
+// key and val map the script's random draws to the store's types.
+type kvApp[K cmp.Ordered, V comparable] struct {
+	open     func(*persist.Runtime) kvStore[K, V]
+	keyspace int
+	key      func(n int) K
+	val      func(n uint64) V
+
+	kv      kvStore[K, V]
 	clients int
-	script  []u64Op
-	model   map[uint64]uint64
-	touched map[uint64]bool
-	pending *u64Pending
+	script  []kvOp[K, V]
+	model   map[K]V
+	touched map[K]bool
+	pending *kvPending[K, V]
 	err     error
 }
 
-func newU64App(open func(*persist.Runtime) u64KV) *u64App {
-	return &u64App{open: open}
-}
-
-func (a *u64App) fail(format string, args ...any) {
+func (a *kvApp[K, V]) fail(format string, args ...any) {
 	if a.err == nil {
 		a.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (a *u64App) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
+func (a *kvApp[K, V]) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
 	a.kv = a.open(rt)
 	a.clients = clients
-	a.model = make(map[uint64]uint64)
-	a.touched = make(map[uint64]bool)
+	a.model = make(map[K]V)
+	a.touched = make(map[K]bool)
 	rng := rand.New(rand.NewSource(seed))
-	const keyspace = 256
 	for k := 0; k < ops; k++ {
-		op := u64Op{key: uint64(rng.Intn(keyspace)) + 1, val: rng.Uint64()%1_000_000 + 1}
+		op := kvOp[K, V]{key: a.key(rng.Intn(a.keyspace))}
+		op.val = a.val(rng.Uint64() % 1_000_000)
 		switch r := rng.Intn(100); {
 		case r < 60:
 			op.kind = opInsert
@@ -156,38 +202,38 @@ func (a *u64App) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
 	}
 }
 
-func (a *u64App) Do(k int) {
+func (a *kvApp[K, V]) Do(k int) {
 	op := a.script[k]
 	tid := k % a.clients
 	a.touched[op.key] = true
 	before, ok := a.model[op.key]
 	switch op.kind {
 	case opInsert:
-		a.pending = &u64Pending{key: op.key, before: before, beforeOk: ok, after: op.val, afterOk: true}
+		a.pending = &kvPending[K, V]{key: op.key, before: before, beforeOk: ok, after: op.val, afterOk: true}
 		if err := a.kv.Insert(tid, op.key, op.val); err != nil {
-			a.fail("insert %d: %v", op.key, err)
+			a.fail("insert %v: %v", op.key, err)
 		} else {
 			a.model[op.key] = op.val
 		}
 	case opDelete:
-		a.pending = &u64Pending{key: op.key, before: before, beforeOk: ok}
+		a.pending = &kvPending[K, V]{key: op.key, before: before, beforeOk: ok}
 		if _, err := a.kv.Delete(tid, op.key); err != nil {
-			a.fail("delete %d: %v", op.key, err)
+			a.fail("delete %v: %v", op.key, err)
 		} else {
 			delete(a.model, op.key)
 		}
 	case opGet:
 		got, gok := a.kv.Get(tid, op.key)
 		if gok != ok || (ok && got != before) {
-			a.fail("get %d: store (%d,%v) diverged from model (%d,%v)", op.key, got, gok, before, ok)
+			a.fail("get %v: store (%s,%v) diverged from model (%s,%v)", op.key, show(got), gok, show(before), ok)
 		}
 	}
 	a.pending = nil
 }
 
-func (a *u64App) Recover() { a.kv.Recover() }
+func (a *kvApp[K, V]) Recover() { a.kv.Recover() }
 
-func (a *u64App) Check() error {
+func (a *kvApp[K, V]) Check() error {
 	if a.err != nil {
 		return a.err
 	}
@@ -200,166 +246,26 @@ func (a *u64App) Check() error {
 			okBefore := ok == p.beforeOk && (!ok || got == p.before)
 			okAfter := ok == p.afterOk && (!ok || got == p.after)
 			if !okBefore && !okAfter {
-				return fmt.Errorf("in-flight key %d: (%d,%v) is neither before (%d,%v) nor after (%d,%v)",
-					key, got, ok, p.before, p.beforeOk, p.after, p.afterOk)
+				return fmt.Errorf("in-flight key %v: (%s,%v) is neither before (%s,%v) nor after (%s,%v)",
+					key, show(got), ok, show(p.before), p.beforeOk, show(p.after), p.afterOk)
 			}
 			continue
 		}
 		want, wok := a.model[key]
 		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %d: recovered (%d,%v), model (%d,%v)", key, got, ok, want, wok)
+			return fmt.Errorf("key %v: recovered (%s,%v), model (%s,%v)", key, show(got), ok, show(want), wok)
 		}
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// string key-value adapters: redis (NVML) and memcached (Mnemosyne).
-
-// strKV adapts the two string stores to one surface.
-type strKV interface {
-	set(tid int, key, val string) error
-	get(tid int, key string) (string, bool)
-	del(tid int, key string) (bool, error)
-	recover()
-	check() error
-}
-
-type redisKV struct{ s *redisstore.Store }
-
-func (r redisKV) set(_ int, k, v string) error     { return r.s.Set(k, v) }
-func (r redisKV) get(_ int, k string) (string, bool) { return r.s.Get(k) }
-func (r redisKV) del(_ int, k string) (bool, error) { return r.s.Del(k) }
-func (r redisKV) recover()                          { r.s.Recover() }
-func (r redisKV) check() error                      { return r.s.CheckInvariants() }
-
-func openRedis(rt *persist.Runtime) strKV {
-	return redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
-}
-
-type memcacheKV struct{ c *memcache.Cache }
-
-func (m memcacheKV) set(tid int, k, v string) error      { return m.c.Set(tid, k, v) }
-func (m memcacheKV) get(tid int, k string) (string, bool) { return m.c.Get(tid, k) }
-func (m memcacheKV) del(tid int, k string) (bool, error) { return m.c.Delete(tid, k) }
-func (m memcacheKV) recover()                            { m.c.Recover() }
-func (m memcacheKV) check() error                        { return m.c.CheckInvariants(0) }
-
-func openMemcached(rt *persist.Runtime) strKV {
-	// maxItems far above the scripted keyspace: LRU eviction never fires,
-	// so the volatile model needs no eviction mirror.
-	return memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<14)}
-}
-
-type strPending struct {
-	key      string
-	before   string
-	beforeOk bool
-	after    string
-	afterOk  bool
-}
-
-type strApp struct {
-	open    func(*persist.Runtime) strKV
-	kv      strKV
-	clients int
-	script  []u64Op // key/val as numbers, rendered to strings
-	model   map[string]string
-	touched map[string]bool
-	pending *strPending
-	err     error
-}
-
-func newStrApp(open func(*persist.Runtime) strKV) *strApp {
-	return &strApp{open: open}
-}
-
-func (a *strApp) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf(format, args...)
+// show renders a value for an oracle message: strings quoted, numbers
+// bare.
+func show(v any) string {
+	if s, ok := v.(string); ok {
+		return strconv.Quote(s)
 	}
-}
-
-func (a *strApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.kv = a.open(rt)
-	a.clients = clients
-	a.model = make(map[string]string)
-	a.touched = make(map[string]bool)
-	rng := rand.New(rand.NewSource(seed))
-	const keyspace = 128
-	for k := 0; k < ops; k++ {
-		op := u64Op{key: uint64(rng.Intn(keyspace)), val: rng.Uint64() % 1_000_000}
-		switch r := rng.Intn(100); {
-		case r < 60:
-			op.kind = opInsert
-		case r < 80:
-			op.kind = opDelete
-		default:
-			op.kind = opGet
-		}
-		a.script = append(a.script, op)
-	}
-}
-
-func strKey(k uint64) string { return fmt.Sprintf("key-%03d", k) }
-func strVal(v uint64) string { return fmt.Sprintf("value-%06d", v) }
-
-func (a *strApp) Do(k int) {
-	op := a.script[k]
-	tid := k % a.clients
-	key := strKey(op.key)
-	a.touched[key] = true
-	before, ok := a.model[key]
-	switch op.kind {
-	case opInsert:
-		val := strVal(op.val)
-		a.pending = &strPending{key: key, before: before, beforeOk: ok, after: val, afterOk: true}
-		if err := a.kv.set(tid, key, val); err != nil {
-			a.fail("set %s: %v", key, err)
-		} else {
-			a.model[key] = val
-		}
-	case opDelete:
-		a.pending = &strPending{key: key, before: before, beforeOk: ok}
-		if _, err := a.kv.del(tid, key); err != nil {
-			a.fail("del %s: %v", key, err)
-		} else {
-			delete(a.model, key)
-		}
-	case opGet:
-		got, gok := a.kv.get(tid, key)
-		if gok != ok || (ok && got != before) {
-			a.fail("get %s: store (%q,%v) diverged from model (%q,%v)", key, got, gok, before, ok)
-		}
-	}
-	a.pending = nil
-}
-
-func (a *strApp) Recover() { a.kv.recover() }
-
-func (a *strApp) Check() error {
-	if a.err != nil {
-		return a.err
-	}
-	if err := a.kv.check(); err != nil {
-		return err
-	}
-	for _, key := range sortedKeys(a.touched) {
-		got, ok := a.kv.get(0, key)
-		if p := a.pending; p != nil && p.key == key {
-			okBefore := ok == p.beforeOk && (!ok || got == p.before)
-			okAfter := ok == p.afterOk && (!ok || got == p.after)
-			if !okBefore && !okAfter {
-				return fmt.Errorf("in-flight key %s: (%q,%v) is neither before nor after state", key, got, ok)
-			}
-			continue
-		}
-		want, wok := a.model[key]
-		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %s: recovered (%q,%v), model (%q,%v)", key, got, ok, want, wok)
-		}
-	}
-	return nil
+	return fmt.Sprint(v)
 }
 
 // ---------------------------------------------------------------------------

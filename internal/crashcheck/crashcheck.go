@@ -15,7 +15,7 @@
 //     machine legality, fsck) must hold in every recovered image.
 //
 // Crash points come in two flavors: operation boundaries (the device image
-// after k completed operations) and mid-operation points (an event hook
+// after k completed operations) and mid-operation points (the runtime
 // stops the world halfway through operation k's PM event stream, exactly
 // where the paper's epoch analysis says ordering bugs hide). The device's
 // two crash modes map onto three checker modes: AllPersisted freezes the
@@ -33,7 +33,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // Mode selects how a crash point is materialized.
@@ -150,11 +149,6 @@ type Result struct {
 // Ok reports whether every cell passed.
 func (r Result) Ok() bool { return len(r.Violations) == 0 }
 
-// crashSignal is the private panic value the event hook throws to stop the
-// application mid-operation. Anything else unwinding out of an adapter is a
-// real bug and is re-thrown.
-type crashSignal struct{}
-
 // CheckApp runs the full (seeds x points x modes) crash matrix for the
 // named suite application.
 func CheckApp(name string, cfg Config) (Result, error) {
@@ -218,15 +212,10 @@ func goldenRun(ent entry, cfg Config, seed int64) ([]int, error) {
 	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{})
 	app := ent.factory()
 	app.Setup(rt, cfg.Clients, cfg.Ops, seed)
-	events := 0
-	rt.SetEventHook(func(trace.Event) { events++ })
 	counts := make([]int, cfg.Ops)
 	for k := 0; k < cfg.Ops; k++ {
-		before := events
-		app.Do(k)
-		counts[k] = events - before
+		counts[k] = rt.CountEvents(func() { app.Do(k) })
 	}
-	rt.SetEventHook(nil)
 	if err := app.Check(); err != nil {
 		return nil, fmt.Errorf("golden run (seed %d) failed its own oracle: %w", seed, err)
 	}
@@ -234,20 +223,17 @@ func goldenRun(ent entry, cfg Config, seed int64) ([]int, error) {
 }
 
 // runCell executes one (seed, point, mode) cell: run to the crash point,
-// freeze and crash the device, reboot, recover, check. A panic out of
-// Recover or Check counts as a violation (a corrupted image may legally
-// make recovery code blow up — that is a detection, not a checker crash).
-// oracleUS, when non-nil, records the wall-clock microseconds the oracle
-// comparison took.
+// crash the device, recover, check. A panic out of Recover or Check
+// counts as a violation (a corrupted image may legally make recovery code
+// blow up — that is a detection, not a checker crash). oracleUS, when
+// non-nil, records the wall-clock microseconds the oracle comparison took.
 func runCell(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int, oracleUS *obs.Histogram) (err error) {
-	frozen, app, rt := executeToCrash(ent, cfg, seed, point, mode, golden)
-	frozen.Crash(deviceMode(mode), crashSeed(seed, point, mode))
+	app, _ := runToCrash(ent, cfg, seed, point, mode, golden)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("recovery panicked: %v", r)
 		}
 	}()
-	rt.Reboot(frozen)
 	app.Recover()
 	checkStart := time.Now()
 	err = app.Check()
@@ -255,54 +241,28 @@ func runCell(ent entry, cfg Config, seed int64, point int, mode Mode, golden []i
 	return err
 }
 
-// executeToCrash builds the application, runs it up to the crash point and
-// returns the frozen pre-crash device image (not yet crashed). For
-// boundary mode the image is cloned between operations; for mid-operation
-// modes an event hook clones it halfway through operation `point`'s PM
-// event stream (per the golden run) and aborts the operation with a
-// crashSignal panic, exactly as a power failure would stop the world
-// mid-store.
-func executeToCrash(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int) (*pmem.Device, App, *persist.Runtime) {
+// runToCrash builds the application, runs it up to the crash point and
+// power-fails the runtime there. For boundary mode the crash falls between
+// operations; for mid-operation modes operation `point` is stopped halfway
+// through its PM event stream (per the golden run), exactly as a power
+// failure would stop the world mid-store. Nothing runs on the device
+// between the stop and the crash, so the crash sees the image the stop
+// froze.
+func runToCrash(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int) (App, *persist.Runtime) {
 	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{})
 	app := ent.factory()
 	app.Setup(rt, cfg.Clients, cfg.Ops, seed)
 	for k := 0; k < point; k++ {
 		app.Do(k)
 	}
-	if mode == AllPersisted {
-		return rt.Dev.Clone(), app, rt
+	if mode != AllPersisted {
+		// A run that emits fewer events than its golden twin (runs are
+		// deterministic, so this should not happen) degrades to the
+		// post-operation boundary rather than failing the cell.
+		rt.StopAfter(max(golden[point]/2, 1), func() { app.Do(point) })
 	}
-	var frozen *pmem.Device
-	countdown := golden[point] / 2
-	if countdown < 1 {
-		countdown = 1
-	}
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			rt.SetEventHook(nil)
-			frozen = rt.Dev.Clone()
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-			}
-		}()
-		app.Do(point)
-	}()
-	rt.SetEventHook(nil)
-	if frozen == nil {
-		// The operation emitted fewer events than its golden twin — runs
-		// are deterministic so this should not happen; degrade to the
-		// post-operation boundary rather than fail the cell.
-		frozen = rt.Dev.Clone()
-	}
-	return frozen, app, rt
+	rt.Crash(deviceMode(mode), crashSeed(seed, point, mode))
+	return app, rt
 }
 
 func deviceMode(m Mode) pmem.CrashMode {
@@ -349,7 +309,6 @@ func DurableImageHash(name string, cfg Config, seed int64, point int, mode Mode)
 	if point < 0 || point >= cfg.Ops {
 		return [32]byte{}, fmt.Errorf("crashcheck: point %d out of range [0,%d)", point, cfg.Ops)
 	}
-	frozen, _, _ := executeToCrash(ent, cfg, seed, point, mode, golden)
-	frozen.Crash(deviceMode(mode), crashSeed(seed, point, mode))
-	return TakeSnapshot(frozen).Hash(), nil
+	_, rt := runToCrash(ent, cfg, seed, point, mode, golden)
+	return TakeSnapshot(rt.Dev).Hash(), nil
 }

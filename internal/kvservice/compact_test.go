@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
@@ -272,40 +273,17 @@ func TestDeleteOverwriteCompactCrashPinned(t *testing.T) {
 	}
 }
 
-// crashAt panics out of the service at the k-th persistent trace event.
-type crashAt struct{ remaining int }
-
-func (c *crashAt) hook(trace.Event) {
-	c.remaining--
-	if c.remaining == 0 {
-		panic(c)
-	}
-}
-
 // runScripted drives the churn script against a fresh small-segment
-// service, arming an event-hook crash after skipping the format
-// transaction. It returns the service, the two oracle maps bracketing
-// the batch that was executing when the panic fired (nil if the run
-// completed), and whether the panic fired.
-func runScripted(t *testing.T, ops []churnOp, crashAfter int) (svc *Service, prev, next map[string]string, crashed bool) {
+// service. With stopAfter > 0 the run stops right after that persistent
+// event, counted from the end of the format transaction. It returns the
+// service, the two oracle maps bracketing the batch that was executing
+// when the stop fired, and whether it fired.
+func runScripted(t *testing.T, ops []churnOp, stopAfter int) (svc *Service, prev, next map[string]string, stopped bool) {
 	t.Helper()
 	svc = New(Config{Shards: 1, Batch: 4, SegBytes: 512})
-	var c *crashAt
-	if crashAfter > 0 {
-		c = &crashAt{remaining: crashAfter}
-		svc.Runtime(0).SetEventHook(c.hook)
-	}
 	prev = map[string]string{}
 	next = map[string]string{}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != c {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	run := func() {
 		for i, op := range ops {
 			applyOp(svc, next, op)
 			if (i+1)%4 == 0 { // batch committed inside the last apply
@@ -316,9 +294,13 @@ func runScripted(t *testing.T, ops []churnOp, crashAfter int) (svc *Service, pre
 			}
 		}
 		svc.Flush()
-	}()
-	svc.Runtime(0).SetEventHook(nil)
-	return svc, prev, next, crashed
+	}
+	if stopAfter == 0 {
+		run()
+	} else {
+		stopped = svc.Runtime(0).StopAfter(stopAfter, run)
+	}
+	return svc, prev, next, stopped
 }
 
 // TestCrashSweepThroughCompaction crashes at every persistent trace
@@ -373,6 +355,65 @@ func TestCrashSweepThroughCompaction(t *testing.T) {
 	}
 	if outcomes[0] == 0 || outcomes[1] == 0 {
 		t.Fatalf("sweep did not exercise both fates: lost=%d kept=%d", outcomes[0], outcomes[1])
+	}
+}
+
+// TestRecoverHeadOnRetiredSegmentBoundary pins recovery of a legal image
+// whose published head sits exactly on a segment boundary while every
+// segment below it is retired: 64 puts fill seg0, 64 tombstones fill
+// seg1, and two compaction passes retire both (the second drops the
+// now-sole tombstones and copies nothing). The segment holding the head
+// was never mapped, and recovery must accept that. The recovered store
+// then takes a put that survives a second crash.
+func TestRecoverHeadOnRetiredSegmentBoundary(t *testing.T) {
+	const segBytes = 1024
+	rt := persist.NewRuntime("boundary", "native", 1, persist.Config{})
+	th := rt.Thread(0)
+	s := newStore(th, segBytes)
+	th.TxBegin()
+	// Eight-byte keys and empty values: 16-byte records, 64 per segment.
+	for i := 0; i < 64; i++ {
+		if err := s.put(fmt.Sprintf("key%05d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.commit()
+	for i := 0; i < 64; i++ {
+		if _, err := s.del(fmt.Sprintf("key%05d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.commit()
+	if s.head != 2*segBytes {
+		t.Fatalf("head = %d, want the %d boundary", s.head, 2*segBytes)
+	}
+	if err := s.compact(1.0); err != nil {
+		t.Fatal(err)
+	}
+	th.TxEnd()
+	if len(s.slotOf) != 0 || s.compactions != 2 {
+		t.Fatalf("want both segments retired by two passes: mapped=%d passes=%d", len(s.slotOf), s.compactions)
+	}
+	rt.Crash(pmem.Strict, 1)
+	s, err := openStore(th, s.super, segBytes)
+	if err != nil {
+		t.Fatalf("recovery failed on a legal image: %v", err)
+	}
+	if len(s.index) != 0 || s.head != 2*segBytes {
+		t.Fatalf("recovered %d keys at head %d, want none at %d", len(s.index), s.head, 2*segBytes)
+	}
+	th.TxBegin()
+	if err := s.put("after", []byte("recovery")); err != nil {
+		t.Fatal(err)
+	}
+	s.commit()
+	th.TxEnd()
+	rt.Crash(pmem.Strict, 2)
+	if s, err = openStore(th, s.super, segBytes); err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	if v, ok := s.get("after"); !ok || string(v) != "recovery" {
+		t.Fatalf("put after recovery lost across the second crash: %q, %v", v, ok)
 	}
 }
 

@@ -463,8 +463,8 @@ type ServiceStats struct {
 	Fences  uint64
 }
 
-// Stats sums the per-shard counters; Fences is counted from the shard
-// traces, so it reflects exactly what analysis tools will see.
+// Stats sums the per-shard counters; Fences is the shard devices' fence
+// count, which equals the KFence events in the shard traces.
 func (s *Service) Stats() ServiceStats {
 	var st ServiceStats
 	for _, sh := range s.shards {
@@ -474,7 +474,7 @@ func (s *Service) Stats() ServiceStats {
 		st.Deletes += sh.dels
 		st.Rejects += sh.rejects
 		st.Batches += sh.batches
-		st.Fences += uint64(sh.rt.Trace.CountKind(trace.KFence))
+		st.Fences += sh.rt.Dev.Stats().Fences
 		sh.mu.Unlock()
 	}
 	return st
@@ -517,12 +517,12 @@ func (s *Service) Space() SpaceStats {
 // Latency exposes the service latency histogram (ns).
 func (s *Service) Latency() *obs.Histogram { return s.latency }
 
-// TraceSource merges the per-shard traces into one EventSource: events
-// sorted by simulated time (ties keep shard order), thread ID rewritten
-// to the shard index, volatile counters summed. Shard address windows
-// are disjoint, so the merged trace is a legal multi-threaded run for
-// the sanitizer and the epoch analysis.
-func (s *Service) TraceSource() trace.EventSource {
+// MergedTrace merges the per-shard traces into one trace: events sorted
+// by simulated time (ties keep shard order), thread ID rewritten to the
+// shard index, volatile counters summed. Shard address windows are
+// disjoint, so the merged trace is a legal multi-threaded run for the
+// sanitizer and the epoch analysis.
+func (s *Service) MergedTrace() *trace.Trace {
 	merged := &trace.Trace{App: "kvservice", Layer: "native", Threads: len(s.shards)}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
@@ -537,8 +537,11 @@ func (s *Service) TraceSource() trace.EventSource {
 	sort.SliceStable(merged.Events, func(a, b int) bool {
 		return merged.Events[a].Time < merged.Events[b].Time
 	})
-	return trace.NewSliceSource(merged)
+	return merged
 }
+
+// TraceSource streams MergedTrace.
+func (s *Service) TraceSource() trace.EventSource { return trace.NewSliceSource(s.MergedTrace()) }
 
 // latencyBuckets is the service latency layout: quarter-power-of-two
 // steps from 16 ns to ~3.5 ms, fine enough that interpolated p99/p999

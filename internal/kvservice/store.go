@@ -164,8 +164,13 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes int) (*store, error)
 		s.slotOf[seq] = i
 		s.live[seq] = 0
 	}
-	if s.head > 0 {
-		if _, ok := s.slotOf[(s.head-1)/sb]; !ok {
+	// Compaction retires only sealed segments (victim), so every segment
+	// below the head's may be gone, and on a segment boundary the head's
+	// own segment may not be mapped yet (ensureSeg maps it lazily). A head
+	// strictly inside a segment is a different matter: that segment holds
+	// published records and must be mapped.
+	if s.head%sb != 0 {
+		if _, ok := s.slotOf[s.head/sb]; !ok {
 			return nil, fmt.Errorf("kvservice: corrupt superblock: head %d lies in an unmapped segment", s.head)
 		}
 	}

@@ -68,8 +68,12 @@ type Runtime struct {
 	cfg     Config
 	threads []*Thread
 	vnext   mem.Addr // volatile address bump pointer (below mem.PMBase)
-	onEvent func(trace.Event)
 	sink    func(trace.Event)
+
+	// events counts the persistent events emitted so far; stopAt, when
+	// nonzero, is the event number StopAfter unwinds at.
+	events uint64
+	stopAt uint64
 
 	// epochLines records the size, in cache-line touches, of every epoch
 	// the run closes (the paper's Figure 3 dimension). Instruments come
@@ -146,8 +150,9 @@ func (r *Runtime) VMap(size int) mem.Addr {
 // transactions are abandoned; applications must run their recovery paths.
 // A KCrash event marks the failure in the trace so durability analyses
 // (pmsan) reset their cache state instead of carrying dirty lines and
-// open transactions across the power loss. The event bypasses the event
-// hook: it is not a device operation a checker could stop on.
+// open transactions across the power loss. The event is not counted by
+// CountEvents or StopAfter: it is not a device operation a checker could
+// stop on.
 func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 	r.Dev.Crash(mode, seed)
 	for _, th := range r.threads {
@@ -163,35 +168,61 @@ func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 	}
 }
 
-// SetEventHook registers fn to be called after every persistent trace event
-// is recorded (nil clears it). The crash-consistency checker uses the hook
-// to stop execution at a precise point in the PM instruction stream; the
-// device operation the event describes has already taken effect when the
-// hook runs, so a device snapshot taken inside fn captures the state just
-// after that instruction.
-func (r *Runtime) SetEventHook(fn func(trace.Event)) { r.onEvent = fn }
+// stopSignal is the panic value StopAfter unwinds with; it names its
+// runtime so a stop on one runtime never ends a StopAfter on another.
+type stopSignal struct{ rt *Runtime }
+
+// StopAfter runs fn and stops it right after its k-th persistent event
+// (k >= 1), the way a power failure stops the world mid-operation: the
+// device operation of event k has taken effect and nothing after it has.
+// The stop unwinds fn with a private panic that StopAfter recovers; the
+// stop disarms before unwinding, so deferred calls in fn (a TxEnd) run
+// without stopping again. It reports whether the stop fired; false means
+// fn completed with fewer than k events. Any other panic out of fn
+// propagates unchanged. Crash checkers call it, then crash or clone the
+// device. StopAfter calls on one runtime do not nest.
+func (r *Runtime) StopAfter(k int, fn func()) (stopped bool) {
+	if k < 1 {
+		panic(fmt.Sprintf("persist: StopAfter(%d): k must be at least 1", k))
+	}
+	if r.stopAt != 0 {
+		panic("persist: StopAfter is already running on this runtime")
+	}
+	target := r.events + uint64(k)
+	r.stopAt = target
+	defer func() {
+		r.stopAt = 0
+		if r.events < target {
+			return // fn completed or panicked on its own before event k
+		}
+		// Only a fired stop recovers, so a foreign panic keeps its stack.
+		if p := recover(); p != (stopSignal{r}) {
+			if p == nil {
+				panic("persist: fn recovered StopAfter's stop and kept running")
+			}
+			panic(p)
+		}
+		stopped = true
+	}()
+	fn()
+	return false
+}
+
+// CountEvents runs fn and returns how many persistent events it emitted.
+func (r *Runtime) CountEvents(fn func()) int {
+	before := r.events
+	fn()
+	return int(r.events - before)
+}
 
 // SetEventSink routes every persistent trace event to sink INSTEAD of
 // appending it to the in-memory Trace (nil restores materialization).
 // This is the streaming pipeline's tap: with a sink installed, a run's
 // memory no longer grows with its event count. The aggregate volatile
-// counters still accumulate on r.Trace, and the event hook (if any) still
-// fires after the sink. Events are emitted under the runtime's
+// counters still accumulate on r.Trace, and StopAfter still stops after
+// the sink has seen the event. Events are emitted under the runtime's
 // deterministic scheduler, so the sink is never called concurrently.
 func (r *Runtime) SetEventSink(sink func(trace.Event)) { r.sink = sink }
-
-// Reboot replaces the runtime's device with dev — typically a crash image —
-// and resets all per-thread volatile state (open transactions and epochs
-// are abandoned, like CPU state across a power failure). The trace keeps
-// recording, so recovery-path PM traffic is visible to analysis.
-func (r *Runtime) Reboot(dev *pmem.Device) {
-	r.Dev = dev
-	for _, th := range r.threads {
-		th.txDepth = 0
-		th.epochOpen = false
-		th.epochLineTouches = 0
-	}
-}
 
 // Thread is a logical hardware-thread context. All persistent operations
 // are methods on Thread so that every event carries its thread ID, which
@@ -241,8 +272,10 @@ func (t *Thread) emit(k trace.Kind, a mem.Addr, size int) {
 	} else {
 		t.rt.Trace.Append(ev)
 	}
-	if t.rt.onEvent != nil {
-		t.rt.onEvent(ev)
+	t.rt.events++
+	if t.rt.events == t.rt.stopAt {
+		t.rt.stopAt = 0
+		panic(stopSignal{t.rt})
 	}
 }
 

@@ -391,3 +391,127 @@ func TestFlushHookObservesFlushes(t *testing.T) {
 		}
 	}
 }
+
+// storeSeq stores 1..n to consecutive words of a, one event per store.
+func storeSeq(th *Thread, a mem.Addr, n int) {
+	for i := 1; i <= n; i++ {
+		th.StoreU64(a+mem.Addr(8*i), uint64(i))
+	}
+}
+
+func TestCountEvents(t *testing.T) {
+	rt := newRT(t)
+	th := rt.Thread(0)
+	a := rt.Dev.Map(256)
+	if n := rt.CountEvents(func() { storeSeq(th, a, 5); th.FlushFence(a, 64) }); n != 7 {
+		t.Fatalf("CountEvents = %d, want 7 (5 stores, flush, fence)", n)
+	}
+	if n := rt.CountEvents(func() {}); n != 0 {
+		t.Fatalf("CountEvents of an empty fn = %d", n)
+	}
+}
+
+func TestStopAfter(t *testing.T) {
+	t.Run("stops right after event k", func(t *testing.T) {
+		rt := newRT(t)
+		th := rt.Thread(0)
+		a := rt.Dev.Map(256)
+		before := rt.Trace.Len()
+		if !rt.StopAfter(3, func() { storeSeq(th, a, 6) }) {
+			t.Fatal("stop did not fire")
+		}
+		for i := 1; i <= 6; i++ {
+			want := uint64(i)
+			if i > 3 {
+				want = 0
+			}
+			if got := rt.Dev.Load(0, a+mem.Addr(8*i), 8)[0]; uint64(got) != want {
+				t.Fatalf("word %d = %d, want %d", i, got, want)
+			}
+		}
+		evs := rt.Trace.Events[before:]
+		if len(evs) != 3 {
+			t.Fatalf("trace holds %d events of fn, want 3", len(evs))
+		}
+		for i, e := range evs {
+			if e.Kind != trace.KStore || e.Addr != a+mem.Addr(8*(i+1)) {
+				t.Fatalf("event %d = %+v, want the store of word %d", i+1, e, i+1)
+			}
+		}
+	})
+	t.Run("k beyond fn's events", func(t *testing.T) {
+		rt := newRT(t)
+		th := rt.Thread(0)
+		a := rt.Dev.Map(256)
+		if rt.StopAfter(5, func() { storeSeq(th, a, 4) }) {
+			t.Fatal("stop fired past fn's last event")
+		}
+		if got := th.LoadU64(a + 32); got != 4 {
+			t.Fatalf("fn did not complete: last word = %d", got)
+		}
+	})
+	t.Run("foreign panic propagates", func(t *testing.T) {
+		rt := newRT(t)
+		th := rt.Thread(0)
+		a := rt.Dev.Map(256)
+		type boom struct{ n int }
+		defer func() {
+			if p := recover(); p != (boom{7}) {
+				t.Fatalf("recovered %v, want boom{7}", p)
+			}
+			storeSeq(th, a, 10) // the stop must be disarmed
+		}()
+		rt.StopAfter(5, func() { storeSeq(th, a, 2); panic(boom{7}) })
+		t.Fatal("StopAfter returned after a foreign panic")
+	})
+	t.Run("disarmed after return", func(t *testing.T) {
+		rt := newRT(t)
+		th := rt.Thread(0)
+		a := rt.Dev.Map(256)
+		rt.StopAfter(2, func() { storeSeq(th, a, 3) })
+		rt.StopAfter(9, func() { storeSeq(th, a, 3) })
+		if rt.stopAt != 0 {
+			t.Fatalf("stop still armed at event %d", rt.stopAt)
+		}
+		if n := rt.CountEvents(func() { storeSeq(th, a, 20) }); n != 20 {
+			t.Fatalf("later run emitted %d events, want 20", n)
+		}
+	})
+	t.Run("deferred TxEnd does not re-stop", func(t *testing.T) {
+		rt := newRT(t)
+		th := rt.Thread(0)
+		a := rt.Dev.Map(256)
+		stopped := rt.StopAfter(2, func() {
+			th.TxBegin()
+			defer th.TxEnd()
+			storeSeq(th, a, 4)
+		})
+		if !stopped {
+			t.Fatal("stop did not fire")
+		}
+		if th.InTx() {
+			t.Fatal("deferred TxEnd did not run")
+		}
+		kinds := []trace.Kind{trace.KTxBegin, trace.KStore, trace.KTxEnd}
+		if rt.Trace.Len() != len(kinds) {
+			t.Fatalf("trace = %v, want TxBegin, Store, TxEnd", rt.Trace.Events)
+		}
+		for i, k := range kinds {
+			if rt.Trace.Events[i].Kind != k {
+				t.Fatalf("event %d kind = %v, want %v", i+1, rt.Trace.Events[i].Kind, k)
+			}
+		}
+	})
+	t.Run("a stop on another runtime passes through", func(t *testing.T) {
+		outer, inner := newRT(t), newRT(t)
+		a := inner.Dev.Map(256)
+		stopped := outer.StopAfter(100, func() {
+			if !inner.StopAfter(1, func() { storeSeq(inner.Thread(0), a, 3) }) {
+				t.Error("inner stop did not fire")
+			}
+		})
+		if stopped {
+			t.Fatal("inner stop ended the outer StopAfter")
+		}
+	})
+}

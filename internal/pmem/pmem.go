@@ -537,8 +537,7 @@ func (d *Device) Mapped() mem.Addr { return d.next }
 
 // Clone returns a deep copy of the device: both images, every thread's
 // flush/WCB buffers, the bump pointer and the counters. The crash checker
-// clones the device at the injection point so the crash image is frozen
-// while deferred cleanup code keeps running on the original.
+// crashes clones to sample durable images without disturbing the original.
 func (d *Device) Clone() *Device {
 	c := &Device{
 		live:    image{pages: make(map[uint64]*page, len(d.live.pages))},

@@ -99,11 +99,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// crashSignal aborts a kvservice group commit from inside the event hook;
-// the engine recovers it at the injection site (same pattern as
-// crashcheck's mid-operation stop).
-type crashSignal struct{}
-
 // tenantState is one tenant's traffic cursor.
 type tenantState struct {
 	spec      Tenant
@@ -247,12 +242,8 @@ func (e *engine) build(reg *obs.Registry) {
 			svc := newSvcTarget(label, spec, reg)
 			ts.tgt, ts.svc = svc, svc
 			ts.think = svc.svc.Runtime(0).Thread(0)
-		case "ctree", "hashmap":
-			ts.tgt = newU64Target(label, spec.App, e.rt, tid)
-			ts.think = e.rt.Thread(tid)
-			tid++
 		default:
-			ts.tgt = newStrTarget(label, spec.App, e.rt, tid)
+			ts.tgt = newAppTarget(label, spec.App, e.rt, tid)
 			ts.think = e.rt.Thread(tid)
 			tid++
 		}
@@ -379,7 +370,7 @@ func (e *engine) crashCycle(globalOp int) {
 }
 
 // midAbort records an aborted group commit pending resolution: the shard
-// whose flush was panicked out of, and its durable head before the flush.
+// whose flush was stopped, and its durable head before the flush.
 type midAbort struct {
 	shard int
 	head  uint64
@@ -388,39 +379,19 @@ type midAbort struct {
 // injectMidCommit forces an early commit of t's first pending batch and
 // aborts it partway through the PM instruction stream. Puts append with
 // two events and tombstones with one (a delete of an absent key with
-// none), so the countdown can land anywhere: mid-append, after the head
+// none), so the stop can land anywhere: mid-append, after the head
 // publish, or inside a compaction pass. The caller resolves the batch's
 // fate against the post-crash durable head; a commit that outran the
-// countdown entirely is promoted here.
+// stop entirely is promoted here.
 func (e *engine) injectMidCommit(t *svcTarget) (midAbort, bool) {
 	idx, n := t.pendingShard()
 	if idx < 0 {
 		return midAbort{}, false
 	}
-	rt := t.svc.Runtime(idx)
 	d0, _ := t.svc.LogHeads(idx)
-	countdown := 1 + e.rng.Intn(2*n)
-	panicked := false
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			rt.SetEventHook(nil)
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-				panicked = true
-			}
-		}()
-		t.svc.FlushShard(idx)
-	}()
-	if !panicked {
-		// The commit outran the countdown; the batch is durable after all.
+	stopped := t.svc.Runtime(idx).StopAfter(1+e.rng.Intn(2*n), func() { t.svc.FlushShard(idx) })
+	if !stopped {
+		// The commit outran the stop; the batch is durable after all.
 		t.commitShard(idx)
 		return midAbort{}, false
 	}
@@ -467,24 +438,9 @@ func (e *engine) analyze() {
 	for _, t := range e.tenants {
 		if t.svc != nil {
 			e.res.Domains = append(e.res.Domains,
-				domainResult(t.tgt.label(), materialize(t.svc.svc.TraceSource())))
+				domainResult(t.tgt.label(), t.svc.svc.MergedTrace()))
 		}
 	}
-}
-
-// materialize drains an EventSource back into an in-memory trace.
-func materialize(src trace.EventSource) *trace.Trace {
-	m := src.Meta()
-	tr := &trace.Trace{App: m.App, Layer: m.Layer, Threads: m.Threads}
-	for {
-		ev, err := src.Next()
-		if err != nil {
-			break
-		}
-		tr.Events = append(tr.Events, ev)
-	}
-	tr.VolatileLoads, tr.VolatileStores = src.Volatile()
-	return tr
 }
 
 func domainResult(name string, tr *trace.Trace) DomainResult {
@@ -494,7 +450,10 @@ func domainResult(name string, tr *trace.Trace) DomainResult {
 		Fences:  uint64(tr.CountKind(trace.KFence)),
 		Flushes: uint64(tr.CountKind(trace.KFlush)),
 	}
-	an := epoch.Analyze(tr)
+	an, err := epoch.AnalyzeStream(trace.NewSliceSource(tr))
+	if err != nil {
+		panic("scenario: in-memory trace stream failed: " + err.Error())
+	}
 	d.Epochs = an.TotalEpochs
 	if an.TotalEpochs > 0 {
 		d.SingletonPct = math.Round(1000*float64(an.Singletons)/float64(an.TotalEpochs)) / 10

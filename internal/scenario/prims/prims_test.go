@@ -9,7 +9,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -104,8 +103,6 @@ func TestDecompositionOrderingPoints(t *testing.T) {
 	}
 }
 
-type crashSignal struct{}
-
 // countUpdateEvents runs one update on a fresh primitive and returns how
 // many device events it emits, so the crash sweep can hit every point.
 func countUpdateEvents(name string, cfg Config) int {
@@ -113,11 +110,7 @@ func countUpdateEvents(name string, cfg Config) int {
 	p := newPrimitive(name)
 	p.init(rt, cfg)
 	p.update(1, 11)
-	n := 0
-	rt.SetEventHook(func(trace.Event) { n++ })
-	p.update(1, 22)
-	rt.SetEventHook(nil)
-	return n
+	return rt.CountEvents(func() { p.update(1, 22) })
 }
 
 // crashDuringUpdate performs update(slot,old) durably, then crashes the
@@ -130,25 +123,7 @@ func crashDuringUpdate(t *testing.T, name string, cfg Config, mode pmem.CrashMod
 	p.init(rt, cfg)
 	p.update(1, old)
 
-	countdown := k
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			rt.SetEventHook(nil)
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-			}
-		}()
-		p.update(1, new)
-	}()
-
+	rt.StopAfter(k, func() { p.update(1, new) })
 	rt.Crash(mode, seed)
 	p.recoverState()
 	got, ok := p.read(1)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/whisper-pm/whisper/internal/apps/ctree"
 	"github.com/whisper-pm/whisper/internal/apps/hashstore"
@@ -12,8 +13,8 @@ import (
 	"github.com/whisper-pm/whisper/internal/kvservice"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/nvml"
+	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
 
@@ -75,150 +76,78 @@ func (b *base) fail(format string, args ...any) {
 }
 
 // ---------------------------------------------------------------------------
-// uint64 key-value tenants: ctree and hashmap on the shared runtime.
+// App tenants on the shared runtime: ctree and hashmap (uint64, NVML),
+// redis (string, NVML) and memcached (string, Mnemosyne) share one oracle.
 
-// u64KV is the surface ctree.Tree and hashstore.Map share.
-type u64KV interface {
-	Insert(tid int, key, value uint64) error
-	Get(tid int, key uint64) (uint64, bool)
-	Delete(tid int, key uint64) (bool, error)
+// kvStore is the store surface the four key-value apps share.
+type kvStore[K, V comparable] interface {
+	Insert(tid int, key K, val V) error
+	Get(tid int, key K) (V, bool)
+	Delete(tid int, key K) (bool, error)
 	Recover()
 	CheckInvariants(tid int) error
 }
 
-type u64Target struct {
+type redisKV struct{ *redisstore.Store }
+
+func (r redisKV) Insert(_ int, k, v string) error      { return r.Set(k, v) }
+func (r redisKV) Get(_ int, k string) (string, bool)   { return r.Store.Get(k) }
+func (r redisKV) Delete(_ int, k string) (bool, error) { return r.Del(k) }
+func (r redisKV) CheckInvariants(int) error            { return r.Store.CheckInvariants() }
+
+type memcacheKV struct{ *memcache.Cache }
+
+func (m memcacheKV) Insert(tid int, k, v string) error { return m.Set(tid, k, v) }
+
+// kvTarget is an app tenant: a kvStore checked against an exact map
+// oracle. key and val resolve a generated op to the store's types.
+type kvTarget[K cmp.Ordered, V comparable] struct {
 	base
-	kv      u64KV
+	kv      kvStore[K, V]
+	key     func(op) K
+	val     func(op) V
 	tid     int
-	model   map[uint64]uint64
-	touched map[uint64]bool
+	model   map[K]V
+	touched map[K]bool
 }
 
-func newU64Target(name, app string, rt *persist.Runtime, tid int) *u64Target {
-	var kv u64KV
+// newAppTarget builds the named app on rt for logical thread tid.
+func newAppTarget(name, app string, rt *persist.Runtime, tid int) target {
 	switch app {
 	case "ctree":
-		kv = ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}))
+		return newKVTarget(name, ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{})), tid, u64Key, u64Val)
 	case "hashmap":
-		kv = hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
-	default:
-		panic("scenario: not a u64 app: " + app)
-	}
-	return &u64Target{
-		base:    base{name: name},
-		kv:      kv,
-		tid:     tid,
-		model:   make(map[uint64]uint64),
-		touched: make(map[uint64]bool),
-	}
-}
-
-func (t *u64Target) apply(o op) {
-	key := o.key + 1 // stores treat key/value 0 as ambiguous; keep both nonzero
-	val := o.val%1_000_000 + 1
-	t.touched[key] = true
-	switch o.kind {
-	case opWrite:
-		t.writes++
-		if err := t.kv.Insert(t.tid, key, val); err != nil {
-			t.fail("insert %d: %v", key, err)
-			return
-		}
-		t.model[key] = val
-	case opDel:
-		t.deletes++
-		if _, err := t.kv.Delete(t.tid, key); err != nil {
-			t.fail("delete %d: %v", key, err)
-			return
-		}
-		delete(t.model, key)
-	default:
-		t.reads++
-		got, ok := t.kv.Get(t.tid, key)
-		want, wok := t.model[key]
-		if ok != wok || (ok && got != want) {
-			t.fail("get %d: store (%d,%v) diverged from model (%d,%v)", key, got, ok, want, wok)
-		}
-	}
-}
-
-func (t *u64Target) recoverState() { t.kv.Recover() }
-func (t *u64Target) crashed()      {}
-
-func (t *u64Target) check() error {
-	if t.failure != nil {
-		return t.failure
-	}
-	if err := t.kv.CheckInvariants(t.tid); err != nil {
-		return err
-	}
-	for _, key := range sortedKeys(t.touched) {
-		got, ok := t.kv.Get(t.tid, key)
-		want, wok := t.model[key]
-		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %d: recovered (%d,%v), model (%d,%v)", key, got, ok, want, wok)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// string key-value tenants: redis (NVML) and memcached (Mnemosyne).
-
-type strKV interface {
-	set(tid int, key, val string) error
-	get(tid int, key string) (string, bool)
-	del(tid int, key string) (bool, error)
-	recover()
-	check() error
-}
-
-type redisKV struct{ s *redisstore.Store }
-
-func (r redisKV) set(_ int, k, v string) error       { return r.s.Set(k, v) }
-func (r redisKV) get(_ int, k string) (string, bool) { return r.s.Get(k) }
-func (r redisKV) del(_ int, k string) (bool, error)  { return r.s.Del(k) }
-func (r redisKV) recover()                           { r.s.Recover() }
-func (r redisKV) check() error                       { return r.s.CheckInvariants() }
-
-type memcacheKV struct{ c *memcache.Cache }
-
-func (m memcacheKV) set(tid int, k, v string) error       { return m.c.Set(tid, k, v) }
-func (m memcacheKV) get(tid int, k string) (string, bool) { return m.c.Get(tid, k) }
-func (m memcacheKV) del(tid int, k string) (bool, error)  { return m.c.Delete(tid, k) }
-func (m memcacheKV) recover()                             { m.c.Recover() }
-func (m memcacheKV) check() error                         { return m.c.CheckInvariants(0) }
-
-type strTarget struct {
-	base
-	kv      strKV
-	tid     int
-	model   map[string]string
-	touched map[string]bool
-}
-
-func newStrTarget(name, app string, rt *persist.Runtime, tid int) *strTarget {
-	var kv strKV
-	switch app {
+		return newKVTarget(name, hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256), tid, u64Key, u64Val)
 	case "redis":
-		kv = redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
+		kv := redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
+		return newKVTarget(name, kv, tid, scenarioKey, scenarioVal)
 	case "memcached":
 		// maxItems far above any scenario keyspace: LRU eviction never
 		// fires, so the oracle needs no eviction mirror.
-		kv = memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<20)}
-	default:
-		panic("scenario: not a string app: " + app)
+		kv := memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<20)}
+		return newKVTarget(name, kv, tid, scenarioKey, scenarioVal)
 	}
-	return &strTarget{
+	panic("scenario: not a key-value app: " + app)
+}
+
+func newKVTarget[K cmp.Ordered, V comparable](name string, kv kvStore[K, V], tid int, key func(op) K, val func(op) V) *kvTarget[K, V] {
+	return &kvTarget[K, V]{
 		base:    base{name: name},
 		kv:      kv,
+		key:     key,
+		val:     val,
 		tid:     tid,
-		model:   make(map[string]string),
-		touched: make(map[string]bool),
+		model:   make(map[K]V),
+		touched: make(map[K]bool),
 	}
 }
 
-func scenarioKey(k uint64) string { return fmt.Sprintf("k%06d", k) }
+// u64Key and u64Val keep keys and values nonzero: the uint64 stores treat
+// 0 as ambiguous.
+func u64Key(o op) uint64 { return o.key + 1 }
+func u64Val(o op) uint64 { return o.val%1_000_000 + 1 }
+
+func scenarioKey(o op) string { return fmt.Sprintf("k%06d", o.key) }
 
 // scenarioVal builds a deterministic value of exactly vlen bytes.
 func scenarioVal(o op) string {
@@ -229,49 +158,59 @@ func scenarioVal(o op) string {
 	return v[:max(1, o.vlen)]
 }
 
-func (t *strTarget) apply(o op) {
-	key := scenarioKey(o.key)
+// show renders a value for an oracle message: strings quoted, numbers
+// bare.
+func show(v any) string {
+	if s, ok := v.(string); ok {
+		return strconv.Quote(s)
+	}
+	return fmt.Sprint(v)
+}
+
+func (t *kvTarget[K, V]) apply(o op) {
+	key := t.key(o)
 	t.touched[key] = true
 	switch o.kind {
 	case opWrite:
 		t.writes++
-		if err := t.kv.set(t.tid, key, scenarioVal(o)); err != nil {
-			t.fail("set %s: %v", key, err)
+		val := t.val(o)
+		if err := t.kv.Insert(t.tid, key, val); err != nil {
+			t.fail("insert %v: %v", key, err)
 			return
 		}
-		t.model[key] = scenarioVal(o)
+		t.model[key] = val
 	case opDel:
 		t.deletes++
-		if _, err := t.kv.del(t.tid, key); err != nil {
-			t.fail("del %s: %v", key, err)
+		if _, err := t.kv.Delete(t.tid, key); err != nil {
+			t.fail("delete %v: %v", key, err)
 			return
 		}
 		delete(t.model, key)
 	default:
 		t.reads++
-		got, ok := t.kv.get(t.tid, key)
+		got, ok := t.kv.Get(t.tid, key)
 		want, wok := t.model[key]
 		if ok != wok || (ok && got != want) {
-			t.fail("get %s: store (%q,%v) diverged from model (%q,%v)", key, got, ok, want, wok)
+			t.fail("get %v: store (%s,%v) diverged from model (%s,%v)", key, show(got), ok, show(want), wok)
 		}
 	}
 }
 
-func (t *strTarget) recoverState() { t.kv.recover() }
-func (t *strTarget) crashed()      {}
+func (t *kvTarget[K, V]) recoverState() { t.kv.Recover() }
+func (t *kvTarget[K, V]) crashed()      {}
 
-func (t *strTarget) check() error {
+func (t *kvTarget[K, V]) check() error {
 	if t.failure != nil {
 		return t.failure
 	}
-	if err := t.kv.check(); err != nil {
+	if err := t.kv.CheckInvariants(t.tid); err != nil {
 		return err
 	}
 	for _, key := range sortedKeys(t.touched) {
-		got, ok := t.kv.get(t.tid, key)
+		got, ok := t.kv.Get(t.tid, key)
 		want, wok := t.model[key]
 		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %s: recovered (%q,%v), model (%q,%v)", key, got, ok, want, wok)
+			return fmt.Errorf("key %v: recovered (%s,%v), model (%s,%v)", key, show(got), ok, show(want), wok)
 		}
 	}
 	return nil
@@ -334,7 +273,7 @@ func (t *svcTarget) lookup(key string) (string, bool) {
 }
 
 func (t *svcTarget) apply(o op) {
-	key := scenarioKey(o.key)
+	key := scenarioKey(o)
 	t.touched[key] = true
 	if o.kind == opRead {
 		t.reads++
